@@ -1,8 +1,9 @@
 //! Emits `BENCH_mt.json`: wall-time of the parallel mutator runtime on a
 //! partitioned synthetic workload at 1/2/4 mutator threads, compared
 //! against a pure-sequential baseline (`Env::run`, no partitioning), plus
-//! the heap-lock contention counter and a determinism check — the merged
-//! profile must be bit-identical at every thread count.
+//! a determinism check — the merged profile must be bit-identical at every
+//! thread count. Partition heaps are single-mutator, so any concurrent
+//! entry into one panics and fails this bench outright.
 //!
 //! Run from the workspace root: `cargo run --release --bin bench_mt`.
 
@@ -80,7 +81,6 @@ fn main() {
     let mut first = true;
     for threads in [1usize, 2, 4] {
         let mut samples = Vec::with_capacity(REPEATS);
-        let mut lock_contention = 0u64;
         let mut survivors = 0usize;
         let mut fingerprint = None;
         for _ in 0..REPEATS {
@@ -96,7 +96,6 @@ fn main() {
                 )
                 .expect("synthetic is partitionable");
             samples.push(t0.elapsed().as_secs_f64() * 1e6);
-            lock_contention = stats.lock_contention;
             survivors = stats.survivors;
             fingerprint = Some((env.metrics(), env.report().to_json()));
         }
@@ -106,8 +105,8 @@ fn main() {
         outln!(
             out,
             "parallel_mutators threads={threads}: median {med:.1} us, min {min:.1} us \
-             ({PARTITIONS} partitions, {} sites, lock contention {lock_contention}, \
-             {survivors} survivor(s), {overhead_pct:+.1}% vs sequential)",
+             ({PARTITIONS} partitions, {} sites, {survivors} survivor(s), \
+             {overhead_pct:+.1}% vs sequential)",
             w.sites.len()
         );
         fingerprints.push((threads, fingerprint.expect("at least one repeat")));
@@ -119,8 +118,7 @@ fn main() {
             json,
             "    {{\"threads\": {threads}, \"partitions\": {PARTITIONS}, \
              \"median_us\": {med:.2}, \"min_us\": {min:.2}, \"repeats\": {REPEATS}, \
-             \"lock_contention\": {lock_contention}, \"survivors\": {survivors}, \
-             \"overhead_vs_sequential_pct\": {overhead_pct:.2}}}"
+             \"survivors\": {survivors}, \"overhead_vs_sequential_pct\": {overhead_pct:.2}}}"
         );
     }
     json.push_str("\n  ],\n");

@@ -47,15 +47,9 @@ pub struct EnvConfig {
     /// Tracing never charges the simulated clock, so results are
     /// bit-identical with tracing absent, armed, or exporting.
     pub tracer: Option<Tracer>,
-    /// Build the heap in single-mutator shard mode (no per-op mutex; see
-    /// [`chameleon_heap::HeapConfig::shard_local`]). The parallel runner
-    /// sets this for its hermetic partition environments; sequential
-    /// environments keep the shared representation.
-    pub shard_heap: bool,
     /// Partition index forwarded to [`chameleon_heap::HeapConfig::shard_index`]
-    /// so a shard heap's concurrent-entry panic names its partition. Only
-    /// meaningful with [`EnvConfig::shard_heap`]; the parallel runner sets it
-    /// per partition.
+    /// so the heap's concurrent-entry panic names its partition. The
+    /// parallel runner sets it per partition.
     pub shard_index: Option<usize>,
     /// Portable policy installed at construction ([`Env::apply_policy`]).
     /// Carrying the policy in the config — rather than applying it to a
@@ -79,7 +73,6 @@ impl Default for EnvConfig {
             telemetry: None,
             heapprof: None,
             tracer: None,
-            shard_heap: false,
             shard_index: None,
             policy: Vec::new(),
         }
@@ -180,7 +173,6 @@ impl Env {
                 ..GcConfig::default()
             },
             model: config.model,
-            shard_local: config.shard_heap,
             shard_index: config.shard_index,
         });
         heap.set_heap_profiling(config.heapprof);

@@ -509,8 +509,13 @@ impl OnlineSink {
 
     /// One rule re-evaluation: build the report, apply the §4.2 shutoff,
     /// sample the drift tracker, then advance the hysteresis machine.
+    ///
+    /// The `state` lock is taken before the report is built: evaluations
+    /// triggered from several mutator threads serialize here, so the
+    /// heap (single-mutator) is never entered by two of them at once.
     fn evaluate(&self) {
         self.evaluations.fetch_add(1, Ordering::Relaxed);
+        let mut st = self.state.lock();
         let report = ProfileReport::build(&self.profiler, &self.heap);
 
         // §4.2 per-type shutoff: if every context of a requested type shows
@@ -530,7 +535,6 @@ impl OnlineSink {
             }
         }
 
-        let mut st = self.state.lock();
         if let Some(tracker) = st.drift.as_mut() {
             if tracker.observe(&report) {
                 self.drift_events.fetch_add(1, Ordering::Relaxed);

@@ -2,13 +2,13 @@
 //!
 //! [`Env::run_parallel`] executes a partitioned workload on a pool of
 //! mutator threads. Each partition runs against its own *hermetic*
-//! environment — a fresh **shard-local** heap (single-mutator, no per-op
-//! mutex), runtime, factory and profiler built from the parent's
-//! [`EnvConfig`] — so mutator threads share no simulation state, never
-//! contend on the parent heap, and take zero locks on the allocation
-//! path. Partitions are scheduled by work stealing (contiguous blocks per
-//! worker, steal-from-richest when drained), so non-divisible plans keep
-//! every thread busy. When every partition has finished, the results are
+//! environment — a fresh heap (single-mutator, no per-op lock), runtime,
+//! factory and profiler built from the parent's [`EnvConfig`] — so
+//! mutator threads share no simulation state, never contend on the parent
+//! heap, and take zero locks on the allocation path. Partitions are
+//! scheduled by work stealing (contiguous blocks per worker,
+//! steal-from-richest when drained), so non-divisible plans keep every
+//! thread busy. When every partition has finished, the results are
 //! folded into the parent environment **in partition-index order**:
 //! context tables are merged by `Arc`-shared export/import with id remap,
 //! GC cycles and heap snapshots renumbered, per-context traces merged,
@@ -113,8 +113,10 @@ pub struct ParallelStats {
     /// Collection-instance statistics flushed as survivors across all
     /// partitions.
     pub survivors: usize,
-    /// Times any thread found a heap lock already held (parent heap plus
-    /// all partition heaps). Observability only — not deterministic.
+    /// Always `0`. Heaps have no lock to contend on: every heap is a
+    /// single-mutator cell, and a concurrent entry panics instead of
+    /// waiting. Kept only because existing readers of the struct still
+    /// name the field.
     pub lock_contention: u64,
 }
 
@@ -135,7 +137,6 @@ struct PartitionOutcome {
     /// flushed into the parent's telemetry as one batch at merge time.
     intern_misses: (u64, u64),
     survivors: usize,
-    lock_contention: u64,
     allocated_bytes: u64,
     allocated_objects: u64,
     wall_ns: u64,
@@ -209,7 +210,6 @@ fn run_partition(
         captures: env.factory.capture_count(),
         intern_misses: env.heap.context_intern_misses(),
         survivors,
-        lock_contention: env.heap.lock_contention(),
         allocated_bytes: env.heap.total_allocated_bytes(),
         allocated_objects: env.heap.total_allocated_objects(),
         wall_ns: timer.elapsed_ns(),
@@ -253,7 +253,7 @@ impl Env {
                 partitions: 1,
                 threads: 1,
                 survivors: 0,
-                lock_contention: self.heap.lock_contention(),
+                lock_contention: 0,
             });
         }
         let tasks = workload
@@ -264,15 +264,14 @@ impl Env {
             })?;
 
         // Children are silent (the parent narrates the run, per partition,
-        // in merge order) and shard-local: one mutator per heap means the
-        // partition allocation path takes no lock at all. Tracing-wise the
-        // children are *not* detached: each partition records into a child
-        // tracer the parent adopts at merge time (worker lane w runs on
-        // trace lane w+1; lane 0 is the parent).
+        // in merge order); each owns its heap, so one mutator per heap
+        // holds by construction. Tracing-wise the children are *not*
+        // detached: each partition records into a child tracer the parent
+        // adopts at merge time (worker lane w runs on trace lane w+1; lane
+        // 0 is the parent).
         let child_config = EnvConfig {
             telemetry: None,
             tracer: None,
-            shard_heap: true,
             ..self.config.clone()
         };
         let tracer = self.config.tracer.clone().filter(|tr| tr.is_armed());
@@ -340,7 +339,6 @@ impl Env {
         // ----- deterministic merge, partition-index order --------------------
         let telemetry = self.rt.telemetry().filter(|t| t.is_enabled());
         let mut survivors = 0usize;
-        let mut child_contention = 0u64;
         for (index, outcome) in outcomes.into_iter().enumerate() {
             let merge_span = self
                 .trace
@@ -397,7 +395,6 @@ impl Env {
             }
             self.factory.absorb_captures(outcome.captures);
             survivors += outcome.survivors;
-            child_contention += outcome.lock_contention;
 
             // Adopt the partition's child-tracer records: ids remap into
             // the parent's id space, roots reparent under the worker-side
@@ -436,7 +433,6 @@ impl Env {
                         .num("allocated_objects", outcome.allocated_objects)
                         .num("captures", outcome.captures)
                         .num("survivors", outcome.survivors as u64)
-                        .num("lock_contention", outcome.lock_contention)
                         .num("wall_ns", outcome.wall_ns);
                 }
             }
@@ -444,22 +440,19 @@ impl Env {
         }
         drop(run_span);
 
-        let lock_contention = child_contention + self.heap.lock_contention();
         if let Some(t) = &telemetry {
-            t.counter("mutator.lock_contention").add(lock_contention);
             if let Some(mut e) = t.event("parallel_run_end", self.rt.clock().now()) {
                 e.str("name", workload.name())
                     .num("partitions", config.partitions as u64)
                     .num("threads", config.threads as u64)
-                    .num("survivors", survivors as u64)
-                    .num("lock_contention", lock_contention);
+                    .num("survivors", survivors as u64);
             }
         }
         Ok(ParallelStats {
             partitions: config.partitions,
             threads: config.threads,
             survivors,
-            lock_contention,
+            lock_contention: 0,
         })
     }
 }
@@ -569,10 +562,6 @@ mod tests {
                 )
                 .expect("parallel run");
             assert_eq!(stats.partitions, 7);
-            assert_eq!(
-                stats.lock_contention, 0,
-                "shard-local partition heaps have no lock to contend on"
-            );
             prints.push(fingerprint(&env));
         }
         assert_eq!(prints[0], prints[1], "1 thread vs 3 threads");
@@ -734,10 +723,5 @@ mod tests {
             "per-partition events: {events}"
         );
         assert!(events.contains("parallel_run_end"), "{events}");
-        let metrics = t.metrics_snapshot();
-        assert!(
-            metrics.iter().any(|m| m.name == "mutator.lock_contention"),
-            "contention counter registered"
-        );
     }
 }

@@ -4,9 +4,9 @@
 //! long-running [`Server`] hosts N named tenant environments, each a
 //! workload instance with its own hermetic heap / factory / profiler
 //! (the same isolation contract as `core::parallel`'s partition
-//! environments, including single-mutator shard heaps). Every tenant runs
-//! the fully-automatic online mode (§3.3.2) with the hysteresis policy
-//! and drift trigger from [`crate::online`].
+//! environments). Every tenant runs the fully-automatic online mode
+//! (§3.3.2) with the hysteresis policy and drift trigger from
+//! [`crate::online`].
 //!
 //! The server speaks JSONL: one command object per line in, one response
 //! object per line out, both through `telemetry::json`. Commands:
@@ -315,15 +315,14 @@ impl Server {
             .ok_or_else(|| format!("unknown workload {workload_name:?}"))?;
 
         // Hermetic tenant environment: same contract as a parallel
-        // partition env — own shard heap, no shared observability hooks.
-        // The server is single-threaded, so the single-mutator shard
-        // invariant holds trivially.
+        // partition env — own heap, no shared observability hooks. The
+        // server is single-threaded, so the heap's single-mutator contract
+        // holds trivially.
         let env = Env::new(&EnvConfig {
             telemetry: None,
             tracer: None,
             heapprof: None,
             profiling: true,
-            shard_heap: true,
             shard_index: Some(self.opened),
             ..self.config.env.clone()
         });
@@ -752,16 +751,36 @@ mod tests {
         assert_eq!(v.get("ok").and_then(Value::as_bool), Some(true));
         assert_eq!(s.tenant_count(), 1);
 
-        // Duplicate opens and bad phases are rejected without teardown.
+        // Duplicate opens, bad phases and non-integral repeats are rejected
+        // without teardown.
         for line in [
             r#"{"cmd":"tenant_open","tenant":"a","workload":"steady"}"#,
             r#"{"cmd":"tenant_step","tenant":"a","phase":"warp"}"#,
             r#"{"cmd":"tenant_step","tenant":"a","repeat":0}"#,
+            r#"{"cmd":"tenant_step","tenant":"a","repeat":1.5}"#,
         ] {
             let v = json::parse(&s.handle_line(line).text).unwrap();
             assert_eq!(v.get("ok").and_then(Value::as_bool), Some(false), "{line}");
+            if line.contains("repeat") {
+                let err = v.get("error").and_then(Value::as_str).unwrap();
+                assert!(err.contains("must be a positive integer"), "{line}: {err}");
+            }
         }
         assert_eq!(s.tenant_count(), 1);
+    }
+
+    #[test]
+    fn hostile_nesting_is_rejected_and_the_server_survives() {
+        let mut s = server();
+        let reply = s.handle_line(&"[".repeat(100_000));
+        assert!(!reply.shutdown);
+        let v = json::parse(&reply.text).expect("error replies are json");
+        assert_eq!(v.get("ok").and_then(Value::as_bool), Some(false));
+        let err = v.get("error").and_then(Value::as_str).unwrap();
+        assert!(err.contains("nesting deeper than"), "{err}");
+        let reply = s.handle_line(r#"{"cmd":"tenant_open","tenant":"a","workload":"steady"}"#);
+        let v = json::parse(&reply.text).unwrap();
+        assert_eq!(v.get("ok").and_then(Value::as_bool), Some(true));
     }
 
     #[cfg(unix)]

@@ -841,11 +841,11 @@ mod tests {
 
     #[test]
     fn striped_table_stays_exact_under_concurrent_interning() {
-        // Many threads hammer the same shared (non-shard) heap's striped
-        // intern table with overlapping and thread-unique contexts. The
-        // table must stay exact: every id resolves to the context that was
-        // interned, duplicates collapse to one id, and the miss counters
-        // count exactly the distinct entries.
+        // Many threads hammer one heap's striped intern table with
+        // overlapping and thread-unique contexts. The table must stay
+        // exact: every id resolves to the context that was interned,
+        // duplicates collapse to one id, and the miss counters count
+        // exactly the distinct entries.
         let heap = Heap::new();
         const THREADS: usize = 8;
         const SHARED: usize = 40;

@@ -1,6 +1,6 @@
 //! The simulated managed heap.
 //!
-//! [`Heap`] is a cheaply cloneable handle to a shared heap: an object table,
+//! [`Heap`] is a cheaply cloneable handle to one heap: an object table,
 //! a root set, a class registry, an allocation-context table, and a
 //! mark-sweep collector. Collection implementations mirror every internal
 //! allocation (wrappers, backing arrays, entry objects) into this heap so
@@ -24,15 +24,17 @@
 //! mutators, where per-object `Box` traffic from many threads serializes
 //! on `malloc` even when the heaps themselves are disjoint.
 //!
-//! # Sharing modes
+//! # Single-mutator contract
 //!
-//! A heap handle is either *shared* (the default: a `Mutex<HeapInner>`,
-//! any number of threads may call into it) or *shard-local*
-//! ([`HeapConfig::shard_local`]): a single-mutator cell guarded by one
-//! atomic flag, used by the parallel runtime for its hermetic partition
-//! heaps so the per-op mutex disappears from the hot path entirely.
-//! Entering a shard-local heap from two threads at once panics instead of
-//! blocking — the single-mutator contract made loud.
+//! Every heap is a single-mutator cell guarded by one atomic busy flag:
+//! each operation swaps the flag on entry and clears it on exit, so the
+//! hot path takes no lock. One thread at a time may be inside a heap; a
+//! second thread entering while the first is still inside panics instead
+//! of blocking, naming the operation (and, for a partition heap, the
+//! partition from [`HeapConfig::shard_index`]). Sequential runs, the
+//! parallel runtime's per-partition heaps, its merge parent (touched only
+//! after the join) and serve tenants all satisfy this; the GC's scan
+//! workers borrow the heap's state read-only from inside one entry.
 
 use crate::clock::SimClock;
 use crate::context::{ContextExport, ContextId, FrameId, StripedContextTable};
@@ -42,7 +44,7 @@ use crate::object::{ClassId, ElemKind, ObjBody, ObjId, Object, ObjectView, RefRa
 use crate::semantic::{ClassRegistry, SemanticMap};
 use crate::snapshot::{HeapProfConfig, HeapProfState, HeapSnapshot};
 use crate::stats::CycleStats;
-use crate::sync::{AtomicBool, AtomicU32, AtomicU64, Mutex, MutexGuard, Ordering, UnsafeCell};
+use crate::sync::{AtomicBool, AtomicU32, Ordering, UnsafeCell};
 use crate::telemetry::HeapTelemetry;
 use chameleon_telemetry::{Telemetry, TraceLane};
 use std::collections::{HashMap, VecDeque};
@@ -123,15 +125,10 @@ pub struct HeapConfig {
     pub gc_interval_bytes: Option<u64>,
     /// Collector configuration.
     pub gc: GcConfig,
-    /// Single-mutator shard mode: replaces the per-op mutex with one atomic
-    /// busy flag. Exactly one thread may use the heap at a time; violating
-    /// that panics. The parallel runtime builds its hermetic partition
-    /// heaps this way so the shard-local allocation path takes no lock.
-    pub shard_local: bool,
-    /// Partition index of a shard-local heap, named in the concurrent-entry
-    /// panic message so a contract violation reports *which* partition was
-    /// entered twice. Ignored for shared heaps; the parallel runner sets it
-    /// when building partition environments.
+    /// Partition index of the heap, named in the concurrent-entry panic
+    /// message so a contract violation reports *which* partition was
+    /// entered twice. The parallel runner sets it when building partition
+    /// environments; serve sets it per tenant.
     pub shard_index: Option<usize>,
 }
 
@@ -194,13 +191,14 @@ pub(crate) struct HeapInner {
     pub(crate) heapprof: Option<HeapProfState>,
 }
 
-/// Single-mutator cell of a shard-local heap: entry wins the `busy` swap
+/// Single-mutator cell behind every [`Heap`]: entry wins the `busy` swap
 /// or panics, so at most one `&mut HeapInner` ever exists.
 struct ShardCell {
     busy: AtomicBool,
-    /// Partition index this shard heap belongs to (from
-    /// [`HeapConfig::shard_index`]); names the shard in the concurrent-entry
-    /// panic so the report points at a partition, not just "a heap".
+    /// Partition index this heap belongs to (from
+    /// [`HeapConfig::shard_index`]); names the partition in the
+    /// concurrent-entry panic so the report points at a partition, not just
+    /// "a heap".
     index: Option<usize>,
     inner: UnsafeCell<HeapInner>,
 }
@@ -208,12 +206,17 @@ struct ShardCell {
 // SAFETY: all access to `inner` goes through `Heap::lock` /
 // `Heap::try_lock_inner`, which admit exactly one guard at a time via the
 // `busy` flag (acquire on entry, release on guard drop). `HeapInner` itself
-// is `Send`, as the shared representation's `Mutex<HeapInner>` requires.
+// is `Send` (asserted below), so handing the cell between threads is sound.
 unsafe impl Send for ShardCell {}
 unsafe impl Sync for ShardCell {}
 
-/// Guard over a shard-local heap; clears the busy flag on drop (including
-/// the simulated-OOM unwind path).
+const _: () = {
+    const fn assert_send<T: Send>() {}
+    assert_send::<HeapInner>();
+};
+
+/// Guard over the heap's cell; clears the busy flag on drop (including the
+/// simulated-OOM unwind path).
 pub(crate) struct ShardGuard<'a> {
     cell: &'a ShardCell,
 }
@@ -224,40 +227,29 @@ impl Drop for ShardGuard<'_> {
     }
 }
 
-/// Uniform guard over both heap representations.
-pub(crate) enum HeapGuard<'a> {
-    Shared(MutexGuard<'a, HeapInner>),
-    Shard(ShardGuard<'a>),
-}
-
-impl Deref for HeapGuard<'_> {
+impl Deref for ShardGuard<'_> {
     type Target = HeapInner;
     fn deref(&self) -> &HeapInner {
-        match self {
-            HeapGuard::Shared(g) => g,
-            // SAFETY: the busy flag guarantees this is the only guard.
-            HeapGuard::Shard(g) => g.cell.inner.with(|p| unsafe { &*p }),
-        }
+        // SAFETY: the busy flag guarantees this is the only guard.
+        self.cell.inner.with(|p| unsafe { &*p })
     }
 }
 
-impl DerefMut for HeapGuard<'_> {
+impl DerefMut for ShardGuard<'_> {
     fn deref_mut(&mut self) -> &mut HeapInner {
-        match self {
-            HeapGuard::Shared(g) => g,
-            // SAFETY: the busy flag guarantees this is the only guard.
-            HeapGuard::Shard(g) => g.cell.inner.with_mut(|p| unsafe { &mut *p }),
-        }
+        // SAFETY: the busy flag guarantees this is the only guard.
+        self.cell.inner.with_mut(|p| unsafe { &mut *p })
     }
 }
 
-#[derive(Clone)]
-enum Repr {
-    Shared(Arc<Mutex<HeapInner>>),
-    Shard(Arc<ShardCell>),
-}
-
-/// Shared handle to a simulated heap.
+/// Cheaply cloneable handle to a simulated heap with a single-mutator
+/// contract.
+///
+/// Clones share one heap and may move between threads, but only one
+/// thread at a time may be inside a heap operation. Entering the heap
+/// while another thread is inside it panics instead of blocking (see the
+/// module docs). Context interning goes through the striped intern table
+/// and may run from any number of threads at once.
 ///
 /// # Examples
 ///
@@ -276,7 +268,7 @@ enum Repr {
 /// ```
 #[derive(Clone)]
 pub struct Heap {
-    repr: Repr,
+    cell: Arc<ShardCell>,
     /// Context-intern table, reachable without the heap lock so warm
     /// capture never serializes on the heap. Also held inside `HeapInner`
     /// for the collector's read-side accounting.
@@ -284,18 +276,13 @@ pub struct Heap {
     /// Capture-path telemetry handles, set once by the first
     /// [`Heap::attach_telemetry`] (lock-free to read thereafter).
     capture_tele: Arc<OnceLock<HeapTelemetry>>,
-    /// Times [`Heap::lock`] found the heap lock already held. Shared across
-    /// clones; feeds the `mutator.lock_contention` telemetry counter of the
-    /// parallel runner. Always zero for shard-local heaps: their entry
-    /// protocol has no lock to contend on.
-    contention: Arc<AtomicU64>,
 }
 
 impl fmt::Debug for Heap {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        // `try_lock`, not `lock`: debug-printing a heap from a thread that
-        // already holds the lock (e.g. inside a panic hook mid-allocation)
-        // must not deadlock.
+        // `try_lock_inner`, not `lock`: debug-printing a heap from a thread
+        // that is already inside it (e.g. a panic hook mid-allocation) must
+        // not trip the single-mutator panic.
         match self.try_lock_inner() {
             Some(inner) => f
                 .debug_struct("Heap")
@@ -352,88 +339,48 @@ impl Heap {
             pause_history: VecDeque::new(),
             heapprof: None,
         };
-        let repr = if config.shard_local {
-            Repr::Shard(Arc::new(ShardCell {
+        Heap {
+            cell: Arc::new(ShardCell {
                 busy: AtomicBool::new(false),
                 index: config.shard_index,
                 inner: UnsafeCell::new(inner),
-            }))
-        } else {
-            Repr::Shared(Arc::new(Mutex::new(inner)))
-        };
-        Heap {
-            repr,
+            }),
             contexts,
             capture_tele: Arc::new(OnceLock::new()),
-            contention: Arc::new(AtomicU64::new(0)),
         }
     }
 
-    /// Acquires the heap, counting a shared-mode acquisition as contended
-    /// when another thread already holds it. The uncontended fast path is
-    /// one `try_lock` — no extra atomic traffic for single-threaded runs.
-    /// Shard-local heaps flip one busy flag instead of locking.
+    /// Enters the heap by flipping its busy flag.
     ///
     /// `op` names the heap operation being entered; it appears in the
-    /// shard-mode concurrent-entry panic so a violation report says which
-    /// operation collided on which partition.
+    /// concurrent-entry panic so a violation report says which operation
+    /// collided on which partition.
     ///
     /// # Panics
     ///
-    /// Panics if a shard-local heap is entered while another thread is
-    /// inside it (single-mutator contract).
-    fn lock(&self, op: &'static str) -> HeapGuard<'_> {
-        match &self.repr {
-            Repr::Shared(m) => match m.try_lock() {
-                Some(guard) => HeapGuard::Shared(guard),
-                None => {
-                    self.contention.fetch_add(1, Ordering::Relaxed);
-                    HeapGuard::Shared(m.lock())
-                }
-            },
-            Repr::Shard(cell) => {
-                if cell.busy.swap(true, Ordering::Acquire) {
-                    match cell.index {
-                        Some(i) => panic!(
-                            "shard-local heap of partition {i} entered concurrently \
-                             during `{op}` (single-mutator contract)"
-                        ),
-                        None => panic!(
-                            "shard-local heap entered concurrently during `{op}` \
-                             (single-mutator contract)"
-                        ),
-                    }
-                }
-                HeapGuard::Shard(ShardGuard { cell })
-            }
+    /// Panics if the heap is entered while another thread is inside it
+    /// (single-mutator contract).
+    fn lock(&self, op: &'static str) -> ShardGuard<'_> {
+        let cell = &*self.cell;
+        if cell.busy.swap(true, Ordering::Acquire) {
+            let partition = cell.index.map(|i| format!(" of partition {i}"));
+            panic!(
+                "heap{} entered concurrently during `{op}` (single-mutator contract)",
+                partition.unwrap_or_default()
+            );
         }
+        ShardGuard { cell }
     }
 
-    /// Non-blocking acquisition; `None` when the heap is held (by any
-    /// thread, including the current one).
-    fn try_lock_inner(&self) -> Option<HeapGuard<'_>> {
-        match &self.repr {
-            Repr::Shared(m) => m.try_lock().map(HeapGuard::Shared),
-            Repr::Shard(cell) => {
-                if cell.busy.swap(true, Ordering::Acquire) {
-                    None
-                } else {
-                    Some(HeapGuard::Shard(ShardGuard { cell }))
-                }
-            }
+    /// Non-blocking entry; `None` when the heap is held (by any thread,
+    /// including the current one).
+    fn try_lock_inner(&self) -> Option<ShardGuard<'_>> {
+        let cell = &*self.cell;
+        if cell.busy.swap(true, Ordering::Acquire) {
+            None
+        } else {
+            Some(ShardGuard { cell })
         }
-    }
-
-    /// Whether this heap runs in single-mutator shard mode.
-    pub fn is_shard_local(&self) -> bool {
-        matches!(self.repr, Repr::Shard(_))
-    }
-
-    /// How many lock acquisitions found the heap lock contended, over the
-    /// lifetime of this heap (shared by all clones of the handle). Always
-    /// zero for shard-local heaps.
-    pub fn lock_contention(&self) -> u64 {
-        self.contention.load(Ordering::Relaxed)
     }
 
     /// Creates a heap capped at `capacity` bytes (allocations GC on
@@ -1412,60 +1359,33 @@ mod tests {
         let (heap, class) = simple_heap();
         let _o = heap.alloc_scalar(class, 0, 0, None);
         assert!(format!("{heap:?}").contains("objects"), "unlocked form");
-        let _guard = heap.lock("debug_test");
-        // With the lock held (as a panic hook or tracing line inside an
-        // allocation would see it), Debug must not deadlock.
+        let guard = heap.lock("debug_test");
+        // While the heap is entered (as a panic hook or tracing line inside
+        // an allocation would see it), Debug must neither block nor panic.
         assert_eq!(format!("{heap:?}"), "Heap(<locked>)");
+        drop(guard);
+        assert!(format!("{heap:?}").contains("objects"), "released again");
     }
 
     #[test]
-    fn shard_local_heap_behaves_identically() {
-        let run = |shard_local: bool| {
-            let heap = Heap::with_config(HeapConfig {
-                gc_interval_bytes: Some(1024),
-                shard_local,
-                ..HeapConfig::default()
-            });
-            let class = heap.register_class("Obj", None);
-            let keep = heap.alloc_scalar(class, 1, 8, None);
-            heap.add_root(keep);
-            for i in 0..100 {
-                let o = heap.alloc_scalar(class, 2, 16, None);
-                if i % 2 == 0 {
-                    heap.set_ref(keep, 0, Some(o));
-                }
-            }
-            heap.gc();
-            (heap.cycles(), heap.total_allocated_bytes(), heap.gc_count())
-        };
-        assert_eq!(run(false), run(true));
-    }
-
-    #[test]
-    fn shard_local_heap_reports_mode_and_zero_contention() {
-        let heap = Heap::with_config(HeapConfig {
-            shard_local: true,
-            ..HeapConfig::default()
+    fn concurrent_entry_panics_naming_the_operation() {
+        let heap = Heap::new();
+        let _held = heap.lock("a");
+        let other = heap.clone();
+        let payload = std::thread::scope(|s| {
+            s.spawn(move || {
+                let _ = other.lock("b");
+            })
+            .join()
+            .expect_err("a second thread entering the heap must panic")
         });
-        assert!(heap.is_shard_local());
-        let class = heap.register_class("Obj", None);
-        for _ in 0..100 {
-            let _ = heap.alloc_scalar(class, 1, 0, None);
-        }
-        heap.gc();
-        assert_eq!(heap.lock_contention(), 0);
-        assert!(!Heap::new().is_shard_local());
-    }
-
-    #[test]
-    fn shard_local_debug_shows_locked_while_entered() {
-        let heap = Heap::with_config(HeapConfig {
-            shard_local: true,
-            ..HeapConfig::default()
-        });
-        let _guard = heap.lock("debug_test");
-        assert_eq!(format!("{heap:?}"), "Heap(<locked>)");
-        drop(_guard);
-        assert!(format!("{heap:?}").contains("objects"));
+        let msg = payload
+            .downcast_ref::<String>()
+            .cloned()
+            .unwrap_or_default();
+        assert!(
+            msg.contains("entered concurrently during `b`"),
+            "panic names the colliding operation: {msg}"
+        );
     }
 }

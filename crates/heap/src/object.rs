@@ -52,7 +52,7 @@ pub enum ElemKind {
 /// the object records only `start..start+len`. Allocating an object
 /// therefore costs zero process-allocator calls once the pool and the
 /// exact-size free-range buckets are warm — the property that makes
-/// shard-local mutator threads scale instead of contending on `malloc`.
+/// per-partition mutator threads scale instead of contending on `malloc`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) struct RefRange {
     pub(crate) start: u32,

@@ -1,4 +1,4 @@
-//! Model checking for the shard-local heap's single-mutator entry flag
+//! Model checking for the heap's single-mutator entry flag
 //! (`heap.rs`) and the striped context-intern table (`context.rs`).
 //!
 //! Run with `cargo test --features model -p chameleon-heap --test
@@ -25,9 +25,8 @@ fn explorer() -> loom::Builder {
     }
 }
 
-fn shard_heap() -> Heap {
+fn partition_heap() -> Heap {
     Heap::with_config(HeapConfig {
-        shard_local: true,
         shard_index: Some(3),
         ..HeapConfig::default()
     })
@@ -62,7 +61,7 @@ fn attempt(f: impl FnOnce(), op: &str) -> bool {
     }
 }
 
-/// Two threads entering one shard-local heap: in every schedule either the
+/// Two threads entering one heap: in every schedule either the
 /// entries serialize cleanly (the flag handoff publishes the first
 /// occupant's writes to the second — the race detector verifies this) or
 /// the loser panics with the partition-named contract message. No third
@@ -79,7 +78,7 @@ fn entry_flag_serializes_or_panics() {
     // to clear the schedule floor; it is still fast.
     builder.preemption_bound = 12;
     let report = builder.check(move || {
-        let heap = shard_heap();
+        let heap = partition_heap();
         let h = heap.clone();
         let worker = loom::thread::spawn(move || {
             // register_class mutates HeapInner through the guard: a write

@@ -27,6 +27,14 @@ pub fn write_str(buf: &mut String, s: &str) {
     buf.push('"');
 }
 
+/// 2^53: the largest integer up to which every integer is an exact `f64`.
+const MAX_EXACT_INT: f64 = 9_007_199_254_740_992.0;
+
+/// Deepest array/object nesting [`parse`] accepts. The parser recurses
+/// once per level, so an unbounded depth would let one hostile line
+/// overflow the stack; deeper input is an error instead.
+pub const MAX_DEPTH: usize = 512;
+
 /// A parsed JSON value.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Value {
@@ -69,10 +77,14 @@ impl Value {
         }
     }
 
-    /// Numeric payload as u64 (floor), if this is a non-negative number.
+    /// Numeric payload as u64, if this is a non-negative integer no
+    /// larger than 2^53 (the range a `Num` holds exactly). Fractional and
+    /// larger values are `None`, never rounded.
     pub fn as_u64(&self) -> Option<u64> {
         match self {
-            Value::Num(n) if *n >= 0.0 => Some(*n as u64),
+            Value::Num(n) if *n >= 0.0 && n.fract() == 0.0 && *n <= MAX_EXACT_INT => {
+                Some(*n as u64)
+            }
             _ => None,
         }
     }
@@ -122,7 +134,7 @@ fn render_into(out: &mut String, v: &Value) {
         Value::Num(n) => {
             if !n.is_finite() {
                 out.push_str("null");
-            } else if n.fract() == 0.0 && n.abs() <= 9_007_199_254_740_992.0 {
+            } else if n.fract() == 0.0 && n.abs() <= MAX_EXACT_INT {
                 let _ = write!(out, "{}", *n as i64);
             } else {
                 let _ = write!(out, "{n}");
@@ -154,11 +166,13 @@ fn render_into(out: &mut String, v: &Value) {
     }
 }
 
-/// Parses one JSON document; trailing non-whitespace is an error.
+/// Parses one JSON document; trailing non-whitespace and nesting deeper
+/// than [`MAX_DEPTH`] are errors.
 pub fn parse(src: &str) -> Result<Value, String> {
     let mut p = Parser {
         bytes: src.as_bytes(),
         pos: 0,
+        depth: 0,
     };
     p.skip_ws();
     let v = p.value()?;
@@ -194,6 +208,8 @@ pub fn validate_jsonl(log: &str, required: &[&str]) -> Result<usize, String> {
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays/objects currently open around `pos`.
+    depth: usize,
 }
 
 impl Parser<'_> {
@@ -235,11 +251,26 @@ impl Parser<'_> {
             Some(b't') => self.literal("true", Value::Bool(true)),
             Some(b'f') => self.literal("false", Value::Bool(false)),
             Some(b'"') => self.string().map(Value::Str),
-            Some(b'[') => self.array(),
-            Some(b'{') => self.object(),
+            Some(b'[') => self.nested(Self::array),
+            Some(b'{') => self.nested(Self::object),
             Some(b'-' | b'0'..=b'9') => self.number(),
             _ => Err(format!("unexpected input at byte {}", self.pos)),
         }
+    }
+
+    /// Parses one array or object one level deeper, refusing to go past
+    /// [`MAX_DEPTH`].
+    fn nested(&mut self, f: fn(&mut Self) -> Result<Value, String>) -> Result<Value, String> {
+        if self.depth == MAX_DEPTH {
+            return Err(format!(
+                "nesting deeper than {MAX_DEPTH} levels at byte {}",
+                self.pos
+            ));
+        }
+        self.depth += 1;
+        let v = f(self);
+        self.depth -= 1;
+        v
     }
 
     fn array(&mut self) -> Result<Value, String> {
@@ -443,6 +474,20 @@ mod tests {
     }
 
     #[test]
+    fn hostile_nesting_is_an_error_not_a_stack_overflow() {
+        let err = parse(&"[".repeat(100_000)).expect_err("too deep");
+        assert!(err.contains("nesting deeper than"), "{err}");
+        assert!(err.contains(&format!("at byte {MAX_DEPTH}")), "{err}");
+        let err = parse(&"{\"a\":".repeat(100_000)).expect_err("too deep");
+        assert!(err.contains("nesting deeper than"), "{err}");
+        // Exactly MAX_DEPTH levels still parse.
+        let src = format!("{}{}", "[".repeat(MAX_DEPTH), "]".repeat(MAX_DEPTH));
+        assert!(parse(&src).is_ok());
+        let src = format!("{}{}", "[".repeat(MAX_DEPTH + 1), "]".repeat(MAX_DEPTH + 1));
+        assert!(parse(&src).is_err());
+    }
+
+    #[test]
     fn numbers_at_integer_and_float_boundaries() {
         // Integers are exact up to 2^53 (Num holds an f64).
         let exact = parse("9007199254740992").unwrap(); // 2^53
@@ -461,8 +506,12 @@ mod tests {
         // Beyond-range magnitudes follow Rust's f64 parsing: infinite.
         assert_eq!(parse("1e400").unwrap().as_f64(), Some(f64::INFINITY));
         assert_eq!(parse("-1e400").unwrap().as_f64(), Some(f64::NEG_INFINITY));
-        // Negative numbers are not u64s.
+        // Negative, fractional and inexact numbers are not u64s.
         assert_eq!(parse("-1").unwrap().as_u64(), None);
+        assert_eq!(parse("1.5").unwrap().as_u64(), None);
+        assert_eq!(parse("9007199254740994").unwrap().as_u64(), None);
+        assert_eq!(parse("1e400").unwrap().as_u64(), None);
+        assert_eq!(parse("3.0").unwrap().as_u64(), Some(3));
     }
 
     #[test]
