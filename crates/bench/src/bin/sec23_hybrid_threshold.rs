@@ -16,9 +16,7 @@ use chameleon_bench::outln;
 use chameleon_bench::pct;
 use chameleon_collections::factory::Selection;
 use chameleon_collections::{CollectionFactory, MapChoice};
-use chameleon_core::{
-    min_heap_size, silence_oom_panics, Env, EnvConfig, PortableChoice, PortableUpdate, Workload,
-};
+use chameleon_core::{min_heap_size, Env, EnvConfig, PortableChoice, PortableUpdate, Workload};
 
 /// TVLA-like conversion-study workload: retained maps whose sizes cluster
 /// just under 16 (12-15), plus a 10% tail of large maps (size 40) — the
@@ -59,7 +57,6 @@ fn policy(choice: MapChoice) -> Vec<PortableUpdate> {
 }
 
 fn measure(updates: &[PortableUpdate]) -> (u64, u64) {
-    silence_oom_panics();
     let w = conversion_workload();
     let min_heap = min_heap_size(&w, updates, 256 * 1024);
     // Time at a fixed generous heap so the comparison isolates operation

@@ -256,11 +256,9 @@ impl Env {
 
     /// Extracts the run's metrics.
     pub fn metrics(&self) -> RunMetrics {
-        let cycles = self.heap.cycles();
-        let peak_live = cycles.iter().map(|c| c.live_bytes).max().unwrap_or(0);
         RunMetrics {
             sim_time: self.rt.clock().now(),
-            peak_live_bytes: peak_live,
+            peak_live_bytes: self.heap.peak_live_bytes(),
             gc_count: self.heap.gc_count(),
             total_allocated_bytes: self.heap.total_allocated_bytes(),
             total_allocated_objects: self.heap.total_allocated_objects(),

@@ -57,7 +57,7 @@ pub use env::{portable_updates, Env, EnvConfig, PortableChoice, PortableUpdate};
 pub use experiment::{run_experiment, run_quick_experiment, ExperimentResult, QuickExperiment};
 pub use metrics::{Improvement, RunMetrics};
 pub use minheap::{
-    completes_under, completes_under_with, min_heap_size, min_heap_size_with, silence_oom_panics,
+    bisection_answer, completes_under, completes_under_with, min_heap_size, min_heap_size_with,
 };
 pub use online::{run_online, OnlineConfig, OnlineDriftConfig, OnlineError, OnlineResult};
 pub use parallel::{default_threads, ParallelConfig, ParallelError, ParallelStats};

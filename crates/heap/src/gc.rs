@@ -16,10 +16,14 @@
 //!
 //! Marking uses an epoch-stamped mark array kept in `HeapInner` (a slot is
 //! marked iff its stamp equals the current cycle's epoch), so no per-cycle
-//! mark allocation or clearing is needed.
+//! mark allocation or clearing is needed. The mark is *dense*: it reads the
+//! generation stamps and reference ranges kept parallel to the slab, never
+//! an `Object`. With one GC thread it claims a mark with a plain load and
+//! store, walks the root map in place and reuses one work stack across
+//! cycles; only parallel markers pay for an atomic swap.
 
 use crate::heap::{HeapInner, ANOMALY_WARMUP, F_OCCUPIED, F_TOP_COLL, PAUSE_HISTORY};
-use crate::object::{ElemKind, ObjBody, ObjId, Object};
+use crate::object::{ElemKind, ObjBody, ObjId};
 use crate::semantic::{AdtDescriptor, SemanticMap};
 use crate::snapshot::{self, SnapAcc};
 use crate::stats::{AdtTotals, CycleStats};
@@ -56,7 +60,9 @@ pub(crate) fn collect(inner: &mut HeapInner) -> CycleStats {
 
     let mark_span = lane.as_ref().and_then(|l| l.scope("gc_mark"));
     let mark_timer = timed.then(SpanTimer::start);
-    mark(inner, &marks, epoch);
+    let mut stack = std::mem::take(&mut inner.mark_stack);
+    mark(inner, &marks, epoch, &mut stack);
+    inner.mark_stack = stack;
     let mark_ns = mark_timer.map_or(0, |t| t.elapsed_ns());
     drop(mark_span);
 
@@ -216,8 +222,8 @@ pub(crate) fn collect(inner: &mut HeapInner) -> CycleStats {
         }
         let root_node = (n_contexts + 1) as u32;
         for id in inner.roots.keys() {
-            if let Some(o) = resolve_opt(inner, *id) {
-                let tnode = o.ctx.map_or(n_contexts as u32, |c| c.0);
+            if let Some(t) = inner.slot_of(*id) {
+                let tnode = inner.slab[t].ctx.map_or(n_contexts as u32, |c| c.0);
                 merged.edges.insert(snapshot::pack_edge(root_node, tnode));
             }
         }
@@ -392,9 +398,9 @@ fn scan_chunk(
             let node = o.ctx.map_or(n_contexts as u32, |c| c.0);
             snap.self_bytes[node as usize] += u64::from(o.size);
             snap.objects[node as usize] += 1;
-            for child in o.refs_iter(&inner.ref_pool) {
-                if let Some(target) = resolve_opt(inner, child) {
-                    let tnode = target.ctx.map_or(n_contexts as u32, |c| c.0);
+            for child in inner.ranges[i].targets(&inner.ref_pool) {
+                if let Some(t) = inner.slot_of(child) {
+                    let tnode = inner.slab[t].ctx.map_or(n_contexts as u32, |c| c.0);
                     snap.edges_in[tnode as usize] += 1;
                     if tnode != node {
                         snap.edges.insert(snapshot::pack_edge(node, tnode));
@@ -412,7 +418,7 @@ fn scan_chunk(
             .info(o.class)
             .semantic_map
             .expect("F_TOP_COLL implies a top-level semantic map");
-        let mut totals = adt_stats(inner, o, map);
+        let mut totals = adt_stats(inner, i, map);
         totals.count = 1;
         acc.collection.add(totals);
         if let Some(ctx) = o.ctx {
@@ -424,73 +430,89 @@ fn scan_chunk(
 }
 
 /// Marks reachable objects by stamping `epoch` into the shared mark array.
-fn mark(inner: &HeapInner, marks: &[AtomicU32], epoch: u32) {
-    let roots: Vec<ObjId> = inner.roots.keys().copied().collect();
+fn mark(inner: &HeapInner, marks: &[AtomicU32], epoch: u32, stack: &mut Vec<u32>) {
     let threads = inner.gc_config.threads.max(1);
-    if threads == 1 || roots.len() < 2 {
-        let mut stack: Vec<u32> = Vec::new();
-        for r in roots {
-            trace_from(inner, marks, epoch, r, &mut stack);
+    if threads == 1 || inner.roots.len() < 2 {
+        // hashmap-iter-ok: marking computes the reachable set, which does
+        // not depend on the order roots are traced in.
+        for &root in inner.roots.keys() {
+            trace_from::<false>(inner, marks, epoch, root, stack);
         }
-    } else {
-        let chunk = roots.len().div_ceil(threads);
-        std::thread::scope(|s| {
-            for part in roots.chunks(chunk) {
-                s.spawn(move || {
-                    let mut stack: Vec<u32> = Vec::new();
-                    for r in part {
-                        trace_from(inner, marks, epoch, *r, &mut stack);
-                    }
-                });
-            }
-        });
+        return;
     }
+    // hashmap-iter-ok: the roots are only split among markers; the marked
+    // set is the same for any split.
+    let roots: Vec<ObjId> = inner.roots.keys().copied().collect();
+    let chunk = roots.len().div_ceil(threads);
+    std::thread::scope(|s| {
+        for part in roots.chunks(chunk) {
+            s.spawn(move || {
+                let mut stack: Vec<u32> = Vec::new();
+                for r in part {
+                    trace_from::<true>(inner, marks, epoch, *r, &mut stack);
+                }
+            });
+        }
+    });
 }
 
-fn trace_from(
+/// Marks everything reachable from `root`. `SHARED` markers race with each
+/// other on the mark words; a sole marker does not.
+fn trace_from<const SHARED: bool>(
     inner: &HeapInner,
     marks: &[AtomicU32],
     epoch: u32,
     root: ObjId,
     stack: &mut Vec<u32>,
 ) {
-    if !claim(inner, marks, epoch, root) {
+    if !claim::<SHARED>(inner, marks, epoch, root) {
         return;
     }
     stack.push(root.index);
     while let Some(i) = stack.pop() {
-        if inner.flags[i as usize] & F_OCCUPIED == 0 {
-            continue;
-        }
-        let o = &inner.slab[i as usize];
-        for child in o.refs_iter(&inner.ref_pool) {
-            if claim(inner, marks, epoch, child) {
+        for child in inner.ranges[i as usize].targets(&inner.ref_pool) {
+            if claim::<SHARED>(inner, marks, epoch, child) {
                 stack.push(child.index);
             }
         }
     }
 }
 
-/// Atomically claims the mark stamp; returns true if this caller marked it.
-/// Stale ids (swept or reused slots) are ignored rather than traced.
-fn claim(inner: &HeapInner, marks: &[AtomicU32], epoch: u32, obj: ObjId) -> bool {
-    let i = obj.index as usize;
-    match inner.flags.get(i) {
-        Some(f) if f & F_OCCUPIED != 0 => {}
-        _ => return false,
-    }
-    if inner.slab[i].generation != obj.generation {
+/// Claims the mark stamp; returns true if this caller marked it. Stale ids
+/// (swept or reused slots) are ignored rather than traced.
+#[inline(always)]
+fn claim<const SHARED: bool>(
+    inner: &HeapInner,
+    marks: &[AtomicU32],
+    epoch: u32,
+    obj: ObjId,
+) -> bool {
+    if inner.slot_of(obj).is_none() {
         return false;
     }
-    // relaxed: the swap only needs atomicity so each object is claimed by
-    // exactly one marker; publication to the sweeper happens at join.
-    marks[i].swap(epoch, Ordering::Relaxed) != epoch
+    let mark = &marks[obj.index as usize];
+    if SHARED {
+        // relaxed: the swap only needs atomicity so each object is claimed
+        // by exactly one marker; publication to the sweeper happens at join.
+        mark.swap(epoch, Ordering::Relaxed) != epoch
+    } else {
+        // relaxed: a sole marker owns every mark word for the whole phase,
+        // so a load and a store cannot interleave with another claim.
+        if mark.load(Ordering::Relaxed) == epoch {
+            return false;
+        }
+        // relaxed: as above; the scan reads the words after this phase, on
+        // this thread or on workers it spawns (the spawn publishes them).
+        mark.store(epoch, Ordering::Relaxed);
+        true
+    }
 }
 
 /// Computes live/used/core for one collection object according to its
 /// semantic map. `count` is left zero; callers set it.
-pub(crate) fn adt_stats(inner: &HeapInner, obj: &Object, map: SemanticMap) -> AdtTotals {
+pub(crate) fn adt_stats(inner: &HeapInner, i: usize, map: SemanticMap) -> AdtTotals {
     let model = inner.model;
+    let obj = &inner.slab[i];
     let size_meta = obj.meta.first().copied().unwrap_or(0).max(0) as u32;
     let refs_per_elem = map.kind.refs_per_elem();
     let core = u64::from(model.array_size(model.ref_bytes, size_meta * refs_per_elem));
@@ -498,15 +520,15 @@ pub(crate) fn adt_stats(inner: &HeapInner, obj: &Object, map: SemanticMap) -> Ad
 
     match map.descriptor {
         AdtDescriptor::Wrapper { impl_field } => {
-            let backing = scalar_ref(inner, obj, impl_field);
-            let mut totals = match backing.and_then(|b| resolve_opt(inner, b)) {
-                Some(backing_obj) => {
+            let backing = scalar_ref(inner, i, impl_field);
+            let mut totals = match backing.and_then(|b| inner.slot_of(b)) {
+                Some(b) => {
                     let backing_map = inner
                         .classes
-                        .info(backing_obj.class)
+                        .info(inner.slab[b].class)
                         .semantic_map
                         .unwrap_or(SemanticMap::backing(map.kind, AdtDescriptor::Inline));
-                    adt_stats(inner, backing_obj, backing_map)
+                    adt_stats(inner, b, backing_map)
                 }
                 None => AdtTotals {
                     live: 0,
@@ -525,11 +547,10 @@ pub(crate) fn adt_stats(inner: &HeapInner, obj: &Object, map: SemanticMap) -> Ad
         } => {
             let mut live = own;
             let mut slack = 0u64;
-            if let Some(arr) =
-                scalar_ref(inner, obj, array_field).and_then(|a| resolve_opt(inner, a))
-            {
+            if let Some(arr) = scalar_ref(inner, i, array_field).and_then(|a| inner.slot_of(a)) {
+                let arr = &inner.slab[arr];
                 live += u64::from(arr.size);
-                if let ObjBody::Array { elem, capacity, .. } = &arr.body {
+                if let ObjBody::Array { elem, capacity } = &arr.body {
                     let elem_bytes = match elem {
                         ElemKind::Ref => model.ref_bytes,
                         ElemKind::Prim { bytes_per_elem } => *bytes_per_elem,
@@ -548,14 +569,11 @@ pub(crate) fn adt_stats(inner: &HeapInner, obj: &Object, map: SemanticMap) -> Ad
         AdtDescriptor::ChainedHash { array_field } => {
             let mut live = own;
             let mut slack = 0u64;
-            if let Some(arr) =
-                scalar_ref(inner, obj, array_field).and_then(|a| resolve_opt(inner, a))
-            {
+            if let Some(a) = scalar_ref(inner, i, array_field).and_then(|a| inner.slot_of(a)) {
+                let arr = &inner.slab[a];
                 live += u64::from(arr.size);
-                if let ObjBody::Array {
-                    slots, capacity, ..
-                } = &arr.body
-                {
+                if let ObjBody::Array { capacity, .. } = &arr.body {
+                    let slots = inner.ranges[a];
                     let used_buckets = obj.meta.get(1).copied().unwrap_or(0).max(0) as u32;
                     slack = u64::from((capacity.saturating_sub(used_buckets)) * model.ref_bytes);
                     // Walk every bucket chain; entries link through ref field 0.
@@ -568,10 +586,10 @@ pub(crate) fn adt_stats(inner: &HeapInner, obj: &Object, map: SemanticMap) -> Ad
                                 break;
                             }
                             steps += 1;
-                            let Some(entry) = resolve_opt(inner, id) else {
+                            let Some(entry) = inner.slot_of(id) else {
                                 break;
                             };
-                            live += u64::from(entry.size);
+                            live += u64::from(inner.slab[entry].size);
                             cur = scalar_ref(inner, entry, 0);
                         }
                     }
@@ -586,20 +604,20 @@ pub(crate) fn adt_stats(inner: &HeapInner, obj: &Object, map: SemanticMap) -> Ad
         }
         AdtDescriptor::LinkedEntries { head_field } => {
             let mut live = own;
-            if let Some(head) = scalar_ref(inner, obj, head_field) {
+            if let Some(head) = scalar_ref(inner, i, head_field) {
                 // Circular list: walk next pointers until back at the head.
                 let max_steps = size_meta as usize + 4;
-                let mut cur = resolve_opt(inner, head).map(|_| head);
+                let mut cur = inner.slot_of(head).map(|_| head);
                 let mut steps = 0usize;
                 while let Some(id) = cur {
                     if steps >= max_steps {
                         break;
                     }
                     steps += 1;
-                    let Some(entry) = resolve_opt(inner, id) else {
+                    let Some(entry) = inner.slot_of(id) else {
                         break;
                     };
-                    live += u64::from(entry.size);
+                    live += u64::from(inner.slab[entry].size);
                     cur = scalar_ref(inner, entry, 0).filter(|next| *next != head);
                 }
             }
@@ -619,22 +637,16 @@ pub(crate) fn adt_stats(inner: &HeapInner, obj: &Object, map: SemanticMap) -> Ad
     }
 }
 
-fn scalar_ref(inner: &HeapInner, obj: &Object, field: usize) -> Option<ObjId> {
-    match obj.body {
-        ObjBody::Scalar { refs, .. } if (field as u32) < refs.len => {
+/// Reference field `field` of the scalar in slot `i` (`None` for arrays and
+/// out-of-range fields).
+fn scalar_ref(inner: &HeapInner, i: usize, field: usize) -> Option<ObjId> {
+    let refs = inner.ranges[i];
+    match inner.slab[i].body {
+        ObjBody::Scalar { .. } if (field as u32) < refs.len => {
             inner.ref_pool[refs.start as usize + field]
         }
         _ => None,
     }
-}
-
-fn resolve_opt(inner: &HeapInner, obj: ObjId) -> Option<&Object> {
-    let i = obj.index as usize;
-    if inner.flags.get(i)? & F_OCCUPIED == 0 {
-        return None;
-    }
-    let o = &inner.slab[i];
-    (o.generation == obj.generation).then_some(o)
 }
 
 #[cfg(test)]

@@ -9,13 +9,13 @@
 //!
 //! # Storage layout
 //!
-//! Objects live in a *dense* slab (`Vec<Object>`) with a parallel packed
-//! flag vector (`Vec<u8>`): one byte per slot records whether the slot is
-//! occupied, whether the object is an array, and whether its class carries
-//! a top-level semantic map. The GC's fused scan reads the flag byte
-//! instead of an `Option` discriminant plus a class-registry lookup, and a
-//! swept slot keeps its (stale) object in place so reuse writes fields
-//! instead of constructing.
+//! Objects live in a *dense* slab (`Vec<Object>`) with three parallel
+//! vectors: a packed flag byte per slot (occupied, array, top-level
+//! semantic map), the slot's generation stamp, and its reference range.
+//! The GC's fused scan reads the flag byte instead of an `Option`
+//! discriminant plus a class-registry lookup; the mark reads only the
+//! stamps and ranges, never the object. A swept slot keeps its (stale)
+//! object in place so reuse writes fields instead of constructing.
 //!
 //! Reference fields and array slots live in one shared *ref pool* arena
 //! per heap, handed out as [`RefRange`](crate::object::RefRange)s with
@@ -55,8 +55,9 @@ use std::sync::{Arc, OnceLock};
 /// Panic payload used for the simulated `OutOfMemoryError`.
 ///
 /// [`Heap`] panics with this payload when an allocation does not fit under
-/// the configured capacity even after a full GC; harnesses that search for
-/// the minimal heap size catch it with `std::panic::catch_unwind`.
+/// the configured capacity even after a full GC (unless the heap is
+/// elastic, see [`Heap::set_elastic`]); harnesses that expect it catch it
+/// with `std::panic::catch_unwind`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct OutOfMemory {
     /// Bytes the failing allocation requested.
@@ -76,6 +77,10 @@ impl fmt::Display for OutOfMemory {
         )
     }
 }
+
+/// Growth rule of an elastic heap: the new cap for a `need` that does not
+/// fit (see [`Heap::set_elastic`]).
+pub type Growth = Box<dyn Fn(u64) -> u64 + Send + Sync>;
 
 /// Collector configuration.
 #[derive(Debug, Clone, Copy)]
@@ -149,6 +154,13 @@ pub(crate) struct HeapInner {
     pub(crate) slab: Vec<Object>,
     /// Packed per-slot flag bytes, parallel to `slab`.
     pub(crate) flags: Vec<u8>,
+    /// Per-slot generation stamps, parallel to `slab`: an `ObjId` resolves
+    /// only while its generation matches its slot's. A free slot's stamp is
+    /// 0, which no object has, so the stamp alone decides liveness.
+    pub(crate) gens: Vec<u32>,
+    /// Per-slot reference fields / array slots in `ref_pool`, parallel to
+    /// `slab` (empty for primitive arrays and ref-free scalars).
+    pub(crate) ranges: Vec<RefRange>,
     pub(crate) free: Vec<u32>,
     /// Arena backing every object's reference fields / array slots.
     pub(crate) ref_pool: Vec<Option<ObjId>>,
@@ -159,6 +171,11 @@ pub(crate) struct HeapInner {
     /// Bytes currently occupied in the object table (live + garbage).
     pub(crate) heap_bytes: u64,
     pub(crate) capacity: Option<u64>,
+    /// Growth rule of an elastic heap (see [`Heap::set_elastic`]); `None`
+    /// panics with [`OutOfMemory`] instead of growing.
+    elastic: Option<Growth>,
+    /// Largest `live_after_gc + request` seen at a capacity-pressure GC.
+    peak_need: u64,
     pub(crate) gc_interval_bytes: Option<u64>,
     pub(crate) bytes_since_gc: u64,
     pub(crate) roots: HashMap<ObjId, usize>,
@@ -177,6 +194,8 @@ pub(crate) struct HeapInner {
     /// allocate nor clear marks.
     pub(crate) marks: Vec<AtomicU32>,
     pub(crate) mark_epoch: u32,
+    /// Reusable work stack of the single-threaded mark.
+    pub(crate) mark_stack: Vec<u32>,
     /// Pre-resolved telemetry handles; `None` (the default) keeps every hot
     /// path exactly as uninstrumented.
     pub(crate) telemetry: Option<HeapTelemetry>,
@@ -315,12 +334,16 @@ impl Heap {
             model: config.model,
             slab: Vec::new(),
             flags: Vec::new(),
+            gens: Vec::new(),
+            ranges: Vec::new(),
             free: Vec::new(),
             ref_pool: Vec::new(),
             free_ranges: HashMap::new(),
             generation: 1,
             heap_bytes: 0,
             capacity: config.capacity,
+            elastic: None,
+            peak_need: 0,
             gc_interval_bytes: config.gc_interval_bytes,
             bytes_since_gc: 0,
             roots: HashMap::new(),
@@ -334,6 +357,7 @@ impl Heap {
             gc_count: 0,
             marks: Vec::new(),
             mark_epoch: 0,
+            mark_stack: Vec::new(),
             telemetry: None,
             tracer: None,
             pause_history: VecDeque::new(),
@@ -468,9 +492,35 @@ impl Heap {
         self.lock("model").model
     }
 
-    /// Changes the capacity cap (used by the minimal-heap search).
-    pub fn set_capacity(&self, capacity: Option<u64>) {
-        self.lock("set_capacity").capacity = capacity;
+    /// The current capacity cap (`None` = unbounded). An elastic heap's
+    /// cap grows during the run (see [`Heap::set_elastic`]).
+    pub fn capacity(&self) -> Option<u64> {
+        self.lock("capacity").capacity
+    }
+
+    /// Makes a capped heap *elastic* (`Some(grow)`) or restores the
+    /// simulated `OutOfMemoryError` (`None`, the default).
+    ///
+    /// Where an allocation does not fit even after its capacity-pressure
+    /// GC, an elastic heap raises its cap to `grow(need)` (at least `need`),
+    /// with `need` = live bytes after that GC + the request, and carries on
+    /// instead of panicking with [`OutOfMemory`]. Up to that point the run
+    /// is identical to a plain capped run, so "the cap never grew" means
+    /// "completes under the starting cap", and the final cap is one the
+    /// run completes under.
+    pub fn set_elastic(&self, grow: Option<Growth>) {
+        self.lock("set_elastic").elastic = grow;
+    }
+
+    /// Largest `need` (live bytes after a capacity-pressure GC + the
+    /// request that triggered it) seen so far; 0 before any such GC.
+    ///
+    /// With exact mark-and-sweep and no allocation-driven GC, a run
+    /// completes under cap `C` exactly when `C` covers the live bytes plus
+    /// the request at every allocation, so every `need` — and this maximum
+    /// — is a lower bound on the smallest cap the run completes under.
+    pub fn peak_need(&self) -> u64 {
+        self.lock("peak_need").peak_need
     }
 
     // ----- classes and contexts -------------------------------------------------
@@ -641,7 +691,7 @@ impl Heap {
         let size = inner.model.object_size(ref_fields, prim_bytes);
         inner.ensure_room(u64::from(size));
         let refs = inner.alloc_range(ref_fields);
-        inner.insert(class, size, ctx, ObjBody::Scalar { refs, prim_bytes })
+        inner.insert(class, size, ctx, ObjBody::Scalar { prim_bytes }, refs)
     }
 
     /// Allocates an array of `capacity` elements of kind `elem`.
@@ -668,12 +718,7 @@ impl Heap {
             ElemKind::Ref => inner.alloc_range(capacity),
             ElemKind::Prim { .. } => RefRange::EMPTY,
         };
-        let body = ObjBody::Array {
-            elem,
-            slots,
-            capacity,
-        };
-        inner.insert(class, size, ctx, body)
+        inner.insert(class, size, ctx, ObjBody::Array { elem, capacity }, slots)
     }
 
     /// Allocates `N` objects, wires `links` between them and registers
@@ -715,7 +760,7 @@ impl Heap {
             generation: 0,
         }; N];
         for (i, req) in reqs.into_iter().enumerate() {
-            let (class, ctx, body) = match req {
+            let (class, ctx, body, refs) = match req {
                 BatchAlloc::Scalar {
                     class,
                     ref_fields,
@@ -724,10 +769,8 @@ impl Heap {
                 } => (
                     class,
                     ctx,
-                    ObjBody::Scalar {
-                        refs: inner.alloc_range(ref_fields),
-                        prim_bytes,
-                    },
+                    ObjBody::Scalar { prim_bytes },
+                    inner.alloc_range(ref_fields),
                 ),
                 BatchAlloc::Array {
                     class,
@@ -737,20 +780,17 @@ impl Heap {
                 } => (
                     class,
                     ctx,
-                    ObjBody::Array {
-                        elem,
-                        slots: match elem {
-                            ElemKind::Ref => inner.alloc_range(capacity),
-                            ElemKind::Prim { .. } => RefRange::EMPTY,
-                        },
-                        capacity,
+                    ObjBody::Array { elem, capacity },
+                    match elem {
+                        ElemKind::Ref => inner.alloc_range(capacity),
+                        ElemKind::Prim { .. } => RefRange::EMPTY,
                     },
                 ),
             };
-            ids[i] = inner.insert(class, sizes[i], ctx, body);
+            ids[i] = inner.insert(class, sizes[i], ctx, body, refs);
         }
         for &(src, field, dst) in links {
-            let range = inner.resolve(ids[src]).body.ref_range();
+            let range = inner.ranges[inner.checked(ids[src])];
             inner.ref_pool[range.slot(field)] = Some(ids[dst]);
         }
         // hashmap-iter-ok: `roots` here is the `&[usize]` parameter of
@@ -770,40 +810,28 @@ impl Heap {
     /// Panics if `obj` is stale or `field` is out of bounds.
     pub fn set_ref(&self, obj: ObjId, field: usize, target: Option<ObjId>) {
         let mut inner = self.lock("set_ref");
-        let range = match inner.resolve(obj).body {
-            ObjBody::Scalar { refs, .. } => refs,
-            ObjBody::Array { .. } => panic!("set_ref on array object; use set_elem"),
-        };
+        let range = inner.scalar_refs(obj, "set_ref on array object; use set_elem");
         inner.ref_pool[range.slot(field)] = target;
     }
 
     /// Reads reference field `field` of `obj`.
     pub fn get_ref(&self, obj: ObjId, field: usize) -> Option<ObjId> {
         let inner = self.lock("get_ref");
-        let range = match inner.resolve(obj).body {
-            ObjBody::Scalar { refs, .. } => refs,
-            ObjBody::Array { .. } => panic!("get_ref on array object; use get_elem"),
-        };
+        let range = inner.scalar_refs(obj, "get_ref on array object; use get_elem");
         inner.ref_pool[range.slot(field)]
     }
 
     /// Stores `target` into slot `idx` of a reference array.
     pub fn set_elem(&self, arr: ObjId, idx: usize, target: Option<ObjId>) {
         let mut inner = self.lock("set_elem");
-        let range = match inner.resolve(arr).body {
-            ObjBody::Array { slots, .. } => slots,
-            ObjBody::Scalar { .. } => panic!("set_elem on scalar object; use set_ref"),
-        };
+        let range = inner.array_slots(arr, "set_elem on scalar object; use set_ref");
         inner.ref_pool[range.slot(idx)] = target;
     }
 
     /// Reads slot `idx` of a reference array.
     pub fn get_elem(&self, arr: ObjId, idx: usize) -> Option<ObjId> {
         let inner = self.lock("get_elem");
-        let range = match inner.resolve(arr).body {
-            ObjBody::Array { slots, .. } => slots,
-            ObjBody::Scalar { .. } => panic!("get_elem on scalar object; use get_ref"),
-        };
+        let range = inner.array_slots(arr, "get_elem on scalar object; use get_ref");
         inner.ref_pool[range.slot(idx)]
     }
 
@@ -826,12 +854,13 @@ impl Heap {
     /// Returns a snapshot view of `obj`.
     pub fn view(&self, obj: ObjId) -> ObjectView {
         let inner = self.lock("view");
-        let o = inner.resolve(obj);
+        let i = inner.checked(obj);
+        let o = &inner.slab[i];
         ObjectView {
             class: o.class,
             size: o.size,
             ctx: o.ctx,
-            refs: inner.ref_pool[o.body.ref_range().as_range()].to_vec(),
+            refs: inner.ref_pool[inner.ranges[i].as_range()].to_vec(),
             array_capacity: o.array_capacity(),
             meta: o.meta.clone(),
         }
@@ -839,10 +868,7 @@ impl Heap {
 
     /// Whether `obj` still resolves (has not been swept).
     pub fn is_live(&self, obj: ObjId) -> bool {
-        let inner = self.lock("is_live");
-        let i = obj.index as usize;
-        inner.flags.get(i).is_some_and(|f| f & F_OCCUPIED != 0)
-            && inner.slab[i].generation == obj.generation
+        self.lock("is_live").slot_of(obj).is_some()
     }
 
     /// Aligned size of `obj` in bytes.
@@ -889,6 +915,13 @@ impl Heap {
     /// All per-cycle statistics recorded so far (Table 3 rows).
     pub fn cycles(&self) -> Vec<CycleStats> {
         self.lock("cycles").cycles.clone()
+    }
+
+    /// Largest `live_bytes` over the recorded cycles (0 before the first),
+    /// without cloning them.
+    pub fn peak_live_bytes(&self) -> u64 {
+        let inner = self.lock("peak_live_bytes");
+        inner.cycles.iter().map(|c| c.live_bytes).max().unwrap_or(0)
     }
 
     /// Clears recorded cycle statistics (between runs).
@@ -1032,12 +1065,17 @@ impl HeapInner {
         }
         gc::collect(self);
         self.bytes_since_gc = 0;
-        if self.heap_bytes + size > cap {
-            std::panic::panic_any(OutOfMemory {
-                requested: size,
-                capacity: cap,
-                live_after_gc: self.heap_bytes,
-            });
+        let need = self.heap_bytes + size;
+        self.peak_need = self.peak_need.max(need);
+        if need > cap {
+            match &self.elastic {
+                Some(grow) => self.capacity = Some(grow(need).max(need)),
+                None => std::panic::panic_any(OutOfMemory {
+                    requested: size,
+                    capacity: cap,
+                    live_after_gc: self.heap_bytes,
+                }),
+            }
         }
     }
 
@@ -1058,13 +1096,14 @@ impl HeapInner {
         RefRange { start, len }
     }
 
-    /// Clears slot `i` after a sweep: flags zeroed, its ref range returned
-    /// to the free buckets, and its meta vector cleared (capacity kept for
-    /// the next occupant). The stale `Object` stays in place; every access
+    /// Clears slot `i` after a sweep: flags and generation zeroed, its ref
+    /// range returned to the free buckets, and its meta vector cleared
+    /// (capacity kept for the next occupant). The stale `Object` stays in place; every access
     /// path is gated on `F_OCCUPIED` plus the generation stamp.
     pub(crate) fn release_slot(&mut self, i: usize) {
         self.flags[i] = 0;
-        let range = self.slab[i].body.ref_range();
+        self.gens[i] = 0;
+        let range = self.ranges[i];
         if range.len > 0 {
             self.free_ranges
                 .entry(range.len)
@@ -1080,6 +1119,7 @@ impl HeapInner {
         size: u32,
         ctx: Option<ContextId>,
         body: ObjBody,
+        refs: RefRange,
     ) -> ObjId {
         self.heap_bytes += u64::from(size);
         self.bytes_since_gc += u64::from(size);
@@ -1101,54 +1141,76 @@ impl HeapInner {
         let index = if let Some(i) = self.free.pop() {
             let slot = &mut self.slab[i as usize];
             slot.class = class;
-            slot.generation = generation;
             slot.size = size;
             slot.ctx = ctx;
             slot.body = body;
             debug_assert!(slot.meta.is_empty(), "released slot keeps cleared meta");
             self.flags[i as usize] = flags;
+            self.gens[i as usize] = generation;
+            self.ranges[i as usize] = refs;
             i
         } else {
             self.slab.push(Object {
                 class,
-                generation,
                 size,
                 ctx,
                 body,
                 meta: Vec::new(),
             });
             self.flags.push(flags);
+            self.gens.push(generation);
+            self.ranges.push(refs);
             (self.slab.len() - 1) as u32
         };
         ObjId { index, generation }
     }
 
-    pub(crate) fn resolve(&self, obj: ObjId) -> &Object {
+    /// Slot index of `obj` if it still resolves (occupied slot, matching
+    /// generation); `None` for a swept or reused slot.
+    pub(crate) fn slot_of(&self, obj: ObjId) -> Option<usize> {
+        let i = obj.index as usize;
+        (self.gens.get(i) == Some(&obj.generation)).then_some(i)
+    }
+
+    /// Slot index of `obj`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `obj` is stale (its object was swept or its slot reused).
+    pub(crate) fn checked(&self, obj: ObjId) -> usize {
         let i = obj.index as usize;
         assert!(
             self.flags[i] & F_OCCUPIED != 0,
             "stale ObjId: object was swept"
         );
-        let o = &self.slab[i];
         assert_eq!(
-            o.generation, obj.generation,
+            self.gens[i], obj.generation,
             "stale ObjId: slot was reused by a newer object"
         );
-        o
+        i
+    }
+
+    pub(crate) fn resolve(&self, obj: ObjId) -> &Object {
+        &self.slab[self.checked(obj)]
     }
 
     pub(crate) fn resolve_mut(&mut self, obj: ObjId) -> &mut Object {
-        let i = obj.index as usize;
-        assert!(
-            self.flags[i] & F_OCCUPIED != 0,
-            "stale ObjId: object was swept"
-        );
-        let o = &mut self.slab[i];
-        assert_eq!(
-            o.generation, obj.generation,
-            "stale ObjId: slot was reused by a newer object"
-        );
-        o
+        let i = self.checked(obj);
+        &mut self.slab[i]
+    }
+
+    /// Reference fields of scalar `obj`; panics with `misuse` on an array.
+    fn scalar_refs(&self, obj: ObjId, misuse: &str) -> RefRange {
+        let i = self.checked(obj);
+        assert!(self.flags[i] & F_ARRAY == 0, "{misuse}");
+        self.ranges[i]
+    }
+
+    /// Slots of array `arr`; panics with `misuse` on a scalar.
+    fn array_slots(&self, arr: ObjId, misuse: &str) -> RefRange {
+        let i = self.checked(arr);
+        assert!(self.flags[i] & F_ARRAY != 0, "{misuse}");
+        self.ranges[i]
     }
 }
 
@@ -1277,6 +1339,60 @@ mod tests {
             .downcast_ref::<OutOfMemory>()
             .expect("payload is OutOfMemory");
         assert_eq!(oom.capacity, 256);
+    }
+
+    /// One rooted 32 B object, three 32 B garbage objects, then a 64 B
+    /// request: the last capacity-pressure GC leaves 32 B live, so the run
+    /// needs exactly 32 + 64 = 96 B.
+    fn pressure_script(heap: &Heap) {
+        let class = heap.register_class("Obj", None);
+        let keep = heap.alloc_scalar(class, 0, 24, None);
+        heap.add_root(keep);
+        for _ in 0..3 {
+            let _ = heap.alloc_scalar(class, 0, 24, None);
+        }
+        let _ = heap.alloc_scalar(class, 0, 56, None);
+    }
+
+    #[test]
+    fn pressure_gc_reports_need_and_need_is_the_exact_minimum_cap() {
+        let heap = Heap::with_capacity(128);
+        pressure_script(&heap);
+        assert_eq!(heap.peak_need(), 32 + 64, "live after GC + request");
+
+        let exact = Heap::with_capacity(96);
+        pressure_script(&exact);
+        assert_eq!(exact.peak_need(), 96, "completes under exactly the need");
+
+        let below = Heap::with_capacity(95);
+        let err =
+            std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| pressure_script(&below)))
+                .expect_err("1 B below the need must OOM");
+        let oom = err.downcast_ref::<OutOfMemory>().expect("OutOfMemory");
+        assert_eq!(
+            *oom,
+            OutOfMemory {
+                requested: 64,
+                capacity: 95,
+                live_after_gc: 32
+            }
+        );
+        assert_eq!(below.peak_need(), 96, "recorded before the panic");
+    }
+
+    #[test]
+    fn elastic_heap_grows_where_it_would_oom() {
+        for (slack, grown) in [(0, 96), (8, 96 + 12)] {
+            let heap = Heap::with_capacity(95);
+            heap.set_elastic(Some(Box::new(move |need| need + need / 8 * slack / 8)));
+            pressure_script(&heap);
+            assert_eq!(heap.capacity(), Some(grown), "slack {slack}/8");
+            assert_eq!(heap.peak_need(), 96);
+        }
+        let roomy = Heap::with_capacity(128);
+        roomy.set_elastic(Some(Box::new(|need| need + need / 8)));
+        pressure_script(&roomy);
+        assert_eq!(roomy.capacity(), Some(128), "no growth where it fits");
     }
 
     #[test]

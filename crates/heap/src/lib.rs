@@ -65,7 +65,7 @@ mod telemetry;
 
 pub use clock::SimClock;
 pub use context::{CallStackSim, ContextExport, ContextId, ContextTable, FrameId};
-pub use heap::{BatchAlloc, GcConfig, Heap, HeapConfig, OutOfMemory};
+pub use heap::{BatchAlloc, GcConfig, Growth, Heap, HeapConfig, OutOfMemory};
 pub use layout::MemoryModel;
 pub use object::{ClassId, ElemKind, ObjId, ObjectView};
 pub use semantic::{AdtDescriptor, CollectionKind, SemanticMap};

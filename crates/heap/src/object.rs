@@ -49,7 +49,7 @@ pub enum ElemKind {
 ///
 /// Objects no longer own a `Box<[Option<ObjId>]>` each; their reference
 /// fields (or array slots) live in one arena (`HeapInner::ref_pool`) and
-/// the object records only `start..start+len`. Allocating an object
+/// the slot records only `start..start+len` (in `HeapInner::ranges`). Allocating an object
 /// therefore costs zero process-allocator calls once the pool and the
 /// exact-size free-range buckets are warm — the property that makes
 /// per-partition mutator threads scale instead of contending on `malloc`.
@@ -65,38 +65,31 @@ impl RefRange {
     pub(crate) fn as_range(self) -> std::ops::Range<usize> {
         self.start as usize..(self.start + self.len) as usize
     }
+
+    /// The non-null references stored in this range of `pool`.
+    pub(crate) fn targets(self, pool: &[Option<ObjId>]) -> impl Iterator<Item = ObjId> + '_ {
+        pool[self.as_range()].iter().filter_map(|r| *r)
+    }
 }
 
 #[derive(Debug, Clone, Copy)]
 pub(crate) enum ObjBody {
     Scalar {
-        refs: RefRange,
         #[allow(dead_code)]
         prim_bytes: u32,
     },
     Array {
         elem: ElemKind,
-        /// Populated only for `ElemKind::Ref` (empty for primitive arrays).
-        slots: RefRange,
         capacity: u32,
     },
 }
 
-impl ObjBody {
-    /// The body's reference slots in the shared pool (empty for primitive
-    /// arrays and ref-free scalars).
-    pub(crate) fn ref_range(&self) -> RefRange {
-        match self {
-            ObjBody::Scalar { refs, .. } => *refs,
-            ObjBody::Array { slots, .. } => *slots,
-        }
-    }
-}
-
+/// A slab slot's payload. The slot's generation stamp and reference range
+/// live in arrays parallel to the slab (`HeapInner::gens` /
+/// `HeapInner::ranges`), so the collector's mark never reads an `Object`.
 #[derive(Debug)]
 pub(crate) struct Object {
     pub(crate) class: ClassId,
-    pub(crate) generation: u32,
     pub(crate) size: u32,
     pub(crate) ctx: Option<ContextId>,
     pub(crate) body: ObjBody,
@@ -108,15 +101,6 @@ pub(crate) struct Object {
 }
 
 impl Object {
-    pub(crate) fn refs_iter<'p>(
-        &self,
-        pool: &'p [Option<ObjId>],
-    ) -> impl Iterator<Item = ObjId> + 'p {
-        pool[self.body.ref_range().as_range()]
-            .iter()
-            .filter_map(|r| *r)
-    }
-
     pub(crate) fn array_capacity(&self) -> Option<u32> {
         match &self.body {
             ObjBody::Array { capacity, .. } => Some(*capacity),
@@ -162,8 +146,8 @@ mod tests {
 
     #[test]
     fn refs_iter_skips_null_slots() {
-        // The ref pool holds an unrelated leading slot; the object's range
-        // covers only its own three slots.
+        // The ref pool holds an unrelated leading slot; the range covers
+        // only the object's own three slots.
         let pool = vec![
             Some(ObjId {
                 index: 99,
@@ -176,18 +160,7 @@ mod tests {
             }),
             None,
         ];
-        let o = Object {
-            class: ClassId(0),
-            generation: 0,
-            size: 16,
-            ctx: None,
-            body: ObjBody::Scalar {
-                refs: RefRange { start: 1, len: 3 },
-                prim_bytes: 0,
-            },
-            meta: Vec::new(),
-        };
-        let targets: Vec<_> = o.refs_iter(&pool).collect();
+        let targets: Vec<_> = RefRange { start: 1, len: 3 }.targets(&pool).collect();
         assert_eq!(targets.len(), 1);
         assert_eq!(targets[0].index(), 7);
     }
@@ -200,17 +173,15 @@ mod tests {
         })];
         let o = Object {
             class: ClassId(0),
-            generation: 0,
             size: 16,
             ctx: None,
             body: ObjBody::Array {
                 elem: ElemKind::Prim { bytes_per_elem: 4 },
-                slots: RefRange::EMPTY,
                 capacity: 8,
             },
             meta: Vec::new(),
         };
-        assert_eq!(o.refs_iter(&pool).count(), 0);
+        assert_eq!(RefRange::EMPTY.targets(&pool).count(), 0);
         assert_eq!(o.array_capacity(), Some(8));
     }
 }
