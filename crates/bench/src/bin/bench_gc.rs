@@ -2,102 +2,21 @@
 //! 1/2/4 worker threads, plus the warm context-capture cost and its
 //! allocation count (intern misses — zero once warm).
 //!
-//! Run from the workspace root: `cargo run --release --bin bench_gc`.
+//! Run from the workspace root:
+//! `cargo run --release -p chameleon-bench --bin bench_gc`.
 
+use chameleon_bench::gc_bench_heap;
 use chameleon_bench::out::{host_meta_json, write_artifact, Out};
 use chameleon_bench::outln;
 use chameleon_collections::factory::CollectionFactory;
 use chameleon_collections::Runtime;
-use chameleon_heap::semantic::{AdtDescriptor, CollectionKind, SemanticMap};
-use chameleon_heap::{ElemKind, GcConfig, Heap, HeapConfig, HeapProfConfig};
+use chameleon_heap::{Heap, HeapProfConfig};
 use chameleon_telemetry::{Telemetry, Tracer};
 use std::fmt::Write as _;
 use std::hint::black_box;
 use std::time::Instant;
 
-const COLLECTIONS: usize = 10_000;
 const CYCLES: usize = 7;
-
-fn populate(threads: usize) -> Heap {
-    let heap = Heap::with_config(HeapConfig {
-        gc: GcConfig {
-            threads,
-            ..GcConfig::default()
-        },
-        ..HeapConfig::default()
-    });
-    let wrap_list = heap.register_class(
-        "ListWrapper",
-        Some(SemanticMap::wrapper(CollectionKind::List)),
-    );
-    let wrap_map = heap.register_class(
-        "MapWrapper",
-        Some(SemanticMap::wrapper(CollectionKind::Map)),
-    );
-    let array_impl = heap.register_class(
-        "ArrayListImpl",
-        Some(SemanticMap::backing(
-            CollectionKind::List,
-            AdtDescriptor::ArrayBacked {
-                array_field: 0,
-                slots_per_elem: 1,
-            },
-        )),
-    );
-    let hash_impl = heap.register_class(
-        "HashMapImpl",
-        Some(SemanticMap::backing(
-            CollectionKind::Map,
-            AdtDescriptor::ChainedHash { array_field: 0 },
-        )),
-    );
-    let arr_class = heap.register_class("Object[]", None);
-    let entry_class = heap.register_class("Entry", None);
-    let plain = heap.register_class("Plain", None);
-
-    for i in 0..COLLECTIONS {
-        let ctx = Some(heap.intern_context(
-            "Coll",
-            &[format!("Site.m:{}", i % 64), "Outer.run:1".to_owned()],
-            2,
-        ));
-        let w = if i % 2 == 0 {
-            let w = heap.alloc_scalar(wrap_list, 1, 0, ctx);
-            let im = heap.alloc_scalar(array_impl, 1, 8, None);
-            let arr = heap.alloc_array(arr_class, ElemKind::Ref, 10, None);
-            heap.set_ref(w, 0, Some(im));
-            heap.set_ref(im, 0, Some(arr));
-            heap.set_meta(im, 0, (i % 10) as i64);
-            heap.set_meta(w, 0, (i % 10) as i64);
-            w
-        } else {
-            let w = heap.alloc_scalar(wrap_map, 1, 0, ctx);
-            let im = heap.alloc_scalar(hash_impl, 1, 16, None);
-            let arr = heap.alloc_array(arr_class, ElemKind::Ref, 16, None);
-            heap.set_ref(w, 0, Some(im));
-            heap.set_ref(im, 0, Some(arr));
-            for e in 0..(i % 6) {
-                let entry = heap.alloc_scalar(entry_class, 3, 4, None);
-                if let Some(head) = heap.get_elem(arr, e % 16) {
-                    heap.set_ref(entry, 0, Some(head));
-                }
-                heap.set_elem(arr, e % 16, Some(entry));
-            }
-            heap.set_meta(im, 0, (i % 6) as i64);
-            heap.set_meta(im, 1, (i % 6).min(16) as i64);
-            heap.set_meta(w, 0, (i % 6) as i64);
-            w
-        };
-        heap.add_root(w);
-        for g in 0..6 {
-            let o = heap.alloc_scalar(plain, (g % 3) as u32, 8, None);
-            if g == 0 {
-                heap.add_root(o);
-            }
-        }
-    }
-    heap
-}
 
 fn median(mut xs: Vec<f64>) -> f64 {
     xs.sort_by(|a, b| a.total_cmp(b));
@@ -112,7 +31,7 @@ fn main() {
     json.push_str("  \"gc_cycle\": [\n");
     let mut first = true;
     for threads in [1usize, 2, 4] {
-        let heap = populate(threads);
+        let heap = gc_bench_heap(threads);
         let objects = heap.object_count();
         heap.gc(); // settle: sweep construction garbage once
         let samples: Vec<f64> = (0..CYCLES)
@@ -144,9 +63,9 @@ fn main() {
     // ...) so load drift hits both sides equally, and the comparison uses
     // per-side minima, which are far less noise-sensitive than medians.
     const OVERHEAD_CYCLES: usize = 15;
-    let plain_heap = populate(1);
+    let plain_heap = gc_bench_heap(1);
     let telemetry = Telemetry::new();
-    let traced_heap = populate(1);
+    let traced_heap = gc_bench_heap(1);
     traced_heap.attach_telemetry(&telemetry);
     plain_heap.gc(); // settle: sweep construction garbage once
     traced_heap.gc();
@@ -183,8 +102,8 @@ fn main() {
     const TRACE_BOUND_PCT: f64 = 5.0;
     const TRACE_CYCLES: usize = 7;
     const TRACE_ATTEMPTS: usize = 5;
-    let plain_heap = populate(1);
-    let armed_heap = populate(1);
+    let plain_heap = gc_bench_heap(1);
+    let armed_heap = gc_bench_heap(1);
     let tracer = Tracer::new();
     armed_heap.attach_tracer(&tracer.lane(0));
     plain_heap.gc(); // settle: sweep construction garbage once
@@ -237,8 +156,8 @@ fn main() {
     // object scanned plus one condensed-graph dominator pass per cycle.
     const HEAPPROF_BOUND_PCT: f64 = 100.0;
     const HEAPPROF_CYCLES: usize = 15;
-    let off_heap = populate(1);
-    let on_heap = populate(1);
+    let off_heap = gc_bench_heap(1);
+    let on_heap = gc_bench_heap(1);
     on_heap.set_heap_profiling(Some(HeapProfConfig { every: 1 }));
     off_heap.gc(); // settle: sweep construction garbage once
     on_heap.gc();

@@ -787,6 +787,34 @@ mod tests {
     }
 
     #[test]
+    fn reattached_telemetry_takes_over_the_capture_counters() {
+        use chameleon_telemetry::Telemetry;
+        let f = factory();
+        let first = Telemetry::new();
+        f.runtime().attach_telemetry(&first);
+        let _g = f.enter("Hot.site:7");
+        let _cold = f.new_map::<i64, i64>(None);
+        let _warm = f.new_map::<i64, i64>(None);
+        // Re-attaching moves the capture counters, like every other heap
+        // metric, to the new handle; the first keeps what it saw.
+        let second = Telemetry::new();
+        f.runtime().attach_telemetry(&second);
+        let _warm_again = f.new_map::<i64, i64>(None);
+        let _g2 = f.enter("Other.site:8");
+        let _new_site = f.new_map::<i64, i64>(None);
+        let counts = |t: &Telemetry| {
+            [
+                "heap.context.hits",
+                "heap.context.misses",
+                "heap.context.frame_misses",
+            ]
+            .map(|name| t.counter(name).get())
+        };
+        assert_eq!(counts(&first), [1, 1, 1]);
+        assert_eq!(counts(&second), [1, 1, 1]);
+    }
+
+    #[test]
     fn telemetry_counts_ops_at_death_and_phases() {
         use chameleon_telemetry::Telemetry;
         let f = factory();

@@ -8,22 +8,22 @@
 //! 32-bit [`ContextId`]s, and provides [`CallStackSim`], the simulated call
 //! stack that workloads push frames onto.
 //!
-//! Both intern tables are allocation-free on the hit path: frame lookup
-//! borrows the candidate `&str` directly, and context lookup probes with a
-//! borrowed `(src_type, frames)` key via the `Borrow<dyn ContextKey>`
-//! trick, so the per-allocation capture path performs zero `String` (or any
-//! other) allocations once its frames and contexts are warm. Miss counters
-//! make that property testable.
+//! [`ContextTable`] is the one intern table: every [`Heap`] owns one inside
+//! its single-mutator cell, and an unbound [`CallStackSim`] keeps a private
+//! one. It is allocation-free on the hit path: frame lookup borrows the
+//! candidate `&str` directly, and context lookup probes with a borrowed
+//! `(src_type, frames)` key via the `Borrow<dyn ContextKey>` trick, so the
+//! per-allocation capture path performs zero `String` (or any other)
+//! allocations once its frames and contexts are warm. Miss counters make
+//! that property testable.
 
 use crate::heap::Heap;
-use crate::sync::{AtomicU64, Ordering, RwLock};
-use chameleon_telemetry::TraceLane;
 use std::cell::RefCell;
 use std::collections::HashMap;
 use std::fmt;
 use std::hash::{Hash, Hasher};
 use std::rc::Rc;
-use std::sync::{Arc, OnceLock};
+use std::sync::Arc;
 
 /// Interned identifier of one stack frame (e.g. `"tvla.util.HashMapFactory:31"`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -35,12 +35,16 @@ pub struct ContextId(pub u32);
 
 /// One interned allocation context: the allocated source type plus the
 /// captured (partial) call stack, innermost frame first.
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+///
+/// Both parts are reference-counted, so the table's id vector, its lookup
+/// map and every [`ContextExport`] share one allocation per part: cloning
+/// a record bumps two counts and copies no bytes.
+#[derive(Debug, Clone)]
 pub struct ContextRecord {
     /// Name of the collection type the program requested (e.g. `"HashMap"`).
-    pub src_type: String,
+    pub src_type: Arc<str>,
     /// Partial call stack, innermost frame first.
-    pub stack: Vec<FrameId>,
+    pub stack: Arc<[FrameId]>,
 }
 
 /// Borrow target that lets the context table probe its hash map with a
@@ -49,20 +53,13 @@ trait ContextKey {
     fn parts(&self) -> (&str, &[FrameId]);
 }
 
-/// Owned form of a context key, stored in the intern map. `Arc<str>` keeps
-/// the insert path to a single string allocation shared with nothing else.
-struct OwnedContextKey {
-    src_type: Arc<str>,
-    stack: Box<[FrameId]>,
-}
-
 /// Borrowed probe key built on the stack for lookups.
 struct BorrowedContextKey<'a> {
     src_type: &'a str,
     stack: &'a [FrameId],
 }
 
-impl ContextKey for OwnedContextKey {
+impl ContextKey for ContextRecord {
     fn parts(&self) -> (&str, &[FrameId]) {
         (&self.src_type, &self.stack)
     }
@@ -74,13 +71,13 @@ impl ContextKey for BorrowedContextKey<'_> {
     }
 }
 
-impl<'a> std::borrow::Borrow<dyn ContextKey + 'a> for OwnedContextKey {
+impl<'a> std::borrow::Borrow<dyn ContextKey + 'a> for ContextRecord {
     fn borrow(&self) -> &(dyn ContextKey + 'a) {
         self
     }
 }
 
-// The owned key must hash exactly like the trait object so borrowed lookups
+// The record must hash exactly like the trait object so borrowed lookups
 // land in the same bucket; both therefore delegate to `parts()`.
 impl Hash for dyn ContextKey + '_ {
     fn hash<H: Hasher>(&self, state: &mut H) {
@@ -98,21 +95,25 @@ impl PartialEq for dyn ContextKey + '_ {
 
 impl Eq for dyn ContextKey + '_ {}
 
-impl Hash for OwnedContextKey {
+impl Hash for ContextRecord {
     fn hash<H: Hasher>(&self, state: &mut H) {
         (self as &dyn ContextKey).hash(state)
     }
 }
 
-impl PartialEq for OwnedContextKey {
+impl PartialEq for ContextRecord {
     fn eq(&self, other: &Self) -> bool {
         self.parts() == other.parts()
     }
 }
 
-impl Eq for OwnedContextKey {}
+impl Eq for ContextRecord {}
 
 /// Intern table for frames and allocation contexts.
+///
+/// `FrameId`s and `ContextId`s are dense and insertion-ordered (the GC's
+/// per-context accumulators index by them directly), so interning the same
+/// sequence into two tables yields the same ids.
 ///
 /// # Examples
 ///
@@ -133,7 +134,7 @@ pub struct ContextTable {
     frames: Vec<Arc<str>>,
     frame_ids: HashMap<Arc<str>, FrameId>,
     records: Vec<ContextRecord>,
-    record_ids: HashMap<OwnedContextKey, ContextId>,
+    record_ids: HashMap<ContextRecord, ContextId>,
     frame_misses: u64,
     context_misses: u64,
 }
@@ -185,7 +186,8 @@ impl ContextTable {
     ///
     /// `stack` is innermost-first; only the first `depth` frames participate
     /// in the context identity, mirroring the paper's partial contexts. The
-    /// hit path probes with a borrowed key and allocates nothing.
+    /// hit path probes with a borrowed key and allocates nothing; a miss
+    /// allocates the record's two shared parts once.
     pub fn intern(&mut self, src_type: &str, stack: &[FrameId], depth: usize) -> ContextId {
         let truncated = &stack[..depth.min(stack.len())];
         let probe = BorrowedContextKey {
@@ -197,17 +199,12 @@ impl ContextTable {
         }
         self.context_misses += 1;
         let id = ContextId(self.records.len() as u32);
-        self.records.push(ContextRecord {
-            src_type: src_type.to_owned(),
-            stack: truncated.to_vec(),
-        });
-        self.record_ids.insert(
-            OwnedContextKey {
-                src_type: Arc::from(src_type),
-                stack: truncated.into(),
-            },
-            id,
-        );
+        let record = ContextRecord {
+            src_type: Arc::from(src_type),
+            stack: Arc::from(truncated),
+        };
+        self.records.push(record.clone());
+        self.record_ids.insert(record, id);
         id
     }
 
@@ -256,12 +253,35 @@ impl ContextTable {
         s
     }
 
-    /// Iterates over all interned contexts.
-    pub fn iter(&self) -> impl Iterator<Item = (ContextId, &ContextRecord)> {
-        self.records
+    /// Dumps the whole table as a portable, `Arc`-shared export.
+    pub(crate) fn export(&self) -> ContextExport {
+        ContextExport {
+            frames: self.frames.clone(),
+            records: self.records.clone(),
+        }
+    }
+
+    /// Re-interns every record of `export` into this table, returning the
+    /// id remap: index `i` (the exporter's `ContextId(i)`) maps to the
+    /// returned `ContextId`. Frame names are remapped once up front, so a
+    /// merge costs one frame intern per distinct frame plus one context
+    /// intern per record — no per-record string materialization.
+    pub(crate) fn import(&mut self, export: &ContextExport) -> Vec<ContextId> {
+        let frame_remap: Vec<FrameId> = export
+            .frames
             .iter()
-            .enumerate()
-            .map(|(i, r)| (ContextId(i as u32), r))
+            .map(|name| self.intern_frame(name))
+            .collect();
+        let mut buf: Vec<FrameId> = Vec::new();
+        export
+            .records
+            .iter()
+            .map(|rec| {
+                buf.clear();
+                buf.extend(rec.stack.iter().map(|f| frame_remap[f.0 as usize]));
+                self.intern(&rec.src_type, &buf, buf.len())
+            })
+            .collect()
     }
 }
 
@@ -271,27 +291,15 @@ impl fmt::Display for ContextRecord {
     }
 }
 
-/// Number of lock stripes in [`StripedContextTable`]. Must be a power of
-/// two so stripe selection is a mask.
-const STRIPES: usize = 16;
-
-/// One interned record of the striped table: reference-counted so exports
-/// and merges clone pointers, never string bytes.
-#[derive(Clone)]
-pub(crate) struct SharedContextRecord {
-    pub(crate) src_type: Arc<str>,
-    pub(crate) stack: Arc<[FrameId]>,
-}
-
-/// Portable dump of a heap's context table: frame names in `FrameId` order
-/// plus `(src_type, stack)` records in `ContextId` order. Produced by
+/// Portable dump of a context table: frame names in `FrameId` order plus
+/// records in `ContextId` order. Produced by
 /// [`Heap::export_contexts`](crate::Heap::export_contexts) and consumed by
 /// [`Heap::import_contexts`](crate::Heap::import_contexts); everything is
 /// `Arc`-shared with the source table, so exporting allocates two vectors
 /// and zero strings.
 pub struct ContextExport {
-    pub(crate) frames: Vec<Arc<str>>,
-    pub(crate) records: Vec<SharedContextRecord>,
+    frames: Vec<Arc<str>>,
+    records: Vec<ContextRecord>,
 }
 
 impl ContextExport {
@@ -312,226 +320,6 @@ impl fmt::Debug for ContextExport {
             .field("frames", &self.frames.len())
             .field("contexts", &self.records.len())
             .finish()
-    }
-}
-
-/// Concurrent intern table for frames and allocation contexts.
-///
-/// Lookups are striped: a deterministic hash of the key picks one of
-/// [`STRIPES`] reader-writer locks, so warm capture from many threads
-/// proceeds in parallel (read locks on distinct — or even the same —
-/// stripes never serialize). Only a miss takes a stripe's write lock plus
-/// the shared id-assignment lock, preserving dense, insertion-ordered
-/// `FrameId`/`ContextId` spaces: single-threaded interning yields exactly
-/// the ids the sequential [`ContextTable`] would.
-///
-/// Miss counters are atomics, so the warm-capture "allocation-free"
-/// invariant stays testable without any lock.
-#[derive(Default)]
-pub(crate) struct StripedContextTable {
-    /// Frame id → display name, in id order.
-    frames: RwLock<Vec<Arc<str>>>,
-    frame_stripes: [RwLock<HashMap<Arc<str>, FrameId>>; STRIPES],
-    /// Context id → record, in id order.
-    records: RwLock<Vec<SharedContextRecord>>,
-    ctx_stripes: [RwLock<HashMap<OwnedContextKey, ContextId>>; STRIPES],
-    frame_misses: AtomicU64,
-    context_misses: AtomicU64,
-    /// Execution-trace lane recording stripe-wait spans on the miss path
-    /// (write-lock acquisitions only — the warm hit path stays untouched).
-    /// Bound to the first lane attached, like the capture counters.
-    tracer: OnceLock<TraceLane>,
-}
-
-/// FNV-1a over arbitrary bytes; deterministic across runs (unlike the
-/// std `HashMap` hasher) so stripe assignment never perturbs anything.
-fn fnv1a(seed: u64, bytes: &[u8]) -> u64 {
-    let mut h = seed;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
-
-const FNV_SEED: u64 = 0xcbf2_9ce4_8422_2325;
-
-impl fmt::Debug for StripedContextTable {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("StripedContextTable")
-            .field("frames", &self.frames.read().len())
-            .field("contexts", &self.records.read().len())
-            .field("frame_misses", &self.frame_misses())
-            .field("context_misses", &self.context_misses())
-            .finish()
-    }
-}
-
-impl StripedContextTable {
-    pub(crate) fn new() -> Self {
-        Self::default()
-    }
-
-    fn frame_stripe(name: &str) -> usize {
-        (fnv1a(FNV_SEED, name.as_bytes()) as usize) & (STRIPES - 1)
-    }
-
-    fn ctx_stripe(src_type: &str, stack: &[FrameId]) -> usize {
-        let mut h = fnv1a(FNV_SEED, src_type.as_bytes());
-        for f in stack {
-            h = fnv1a(h, &f.0.to_le_bytes());
-        }
-        (h as usize) & (STRIPES - 1)
-    }
-
-    /// Interns a frame. Returns `(id, missed)`; the warm path takes one
-    /// stripe read lock and allocates nothing.
-    /// Binds the stripe-wait trace lane; only the first call takes effect.
-    pub(crate) fn set_tracer(&self, lane: TraceLane) {
-        let _ = self.tracer.set(lane);
-    }
-
-    /// Span around a miss-path write-lock acquisition of `stripe`; `None`
-    /// (one relaxed load) with no armed tracer.
-    fn stripe_wait_span(&self, stripe: usize) -> Option<chameleon_telemetry::trace::TraceScope> {
-        self.tracer
-            .get()
-            .and_then(|l| l.scope("ctx_stripe_wait"))
-            .map(|s| s.arg("stripe", stripe as u64))
-    }
-
-    pub(crate) fn intern_frame(&self, name: &str) -> (FrameId, bool) {
-        let idx = Self::frame_stripe(name);
-        let stripe = &self.frame_stripes[idx];
-        if let Some(id) = stripe.read().get(name) {
-            return (*id, false);
-        }
-        let wait = self.stripe_wait_span(idx);
-        let mut map = stripe.write();
-        drop(wait);
-        if let Some(id) = map.get(name) {
-            // Another thread interned it between our read and write locks.
-            return (*id, false);
-        }
-        self.frame_misses.fetch_add(1, Ordering::Relaxed);
-        let shared: Arc<str> = Arc::from(name);
-        let mut frames = self.frames.write();
-        let id = FrameId(frames.len() as u32);
-        frames.push(Arc::clone(&shared));
-        drop(frames);
-        map.insert(shared, id);
-        (id, true)
-    }
-
-    /// Interns `(src_type, stack truncated to depth)`. Returns
-    /// `(id, missed)`; the warm path takes one stripe read lock and probes
-    /// with a borrowed key — zero allocations.
-    pub(crate) fn intern(
-        &self,
-        src_type: &str,
-        stack: &[FrameId],
-        depth: usize,
-    ) -> (ContextId, bool) {
-        let truncated = &stack[..depth.min(stack.len())];
-        let idx = Self::ctx_stripe(src_type, truncated);
-        let stripe = &self.ctx_stripes[idx];
-        let probe = BorrowedContextKey {
-            src_type,
-            stack: truncated,
-        };
-        if let Some(id) = stripe.read().get(&probe as &dyn ContextKey) {
-            return (*id, false);
-        }
-        let wait = self.stripe_wait_span(idx);
-        let mut map = stripe.write();
-        drop(wait);
-        if let Some(id) = map.get(&probe as &dyn ContextKey) {
-            return (*id, false);
-        }
-        self.context_misses.fetch_add(1, Ordering::Relaxed);
-        let src: Arc<str> = Arc::from(src_type);
-        let mut records = self.records.write();
-        let id = ContextId(records.len() as u32);
-        records.push(SharedContextRecord {
-            src_type: Arc::clone(&src),
-            stack: truncated.into(),
-        });
-        drop(records);
-        map.insert(
-            OwnedContextKey {
-                src_type: src,
-                stack: truncated.into(),
-            },
-            id,
-        );
-        (id, true)
-    }
-
-    pub(crate) fn frame_name(&self, frame: FrameId) -> Arc<str> {
-        Arc::clone(&self.frames.read()[frame.0 as usize])
-    }
-
-    pub(crate) fn record(&self, ctx: ContextId) -> SharedContextRecord {
-        self.records.read()[ctx.0 as usize].clone()
-    }
-
-    pub(crate) fn len(&self) -> usize {
-        self.records.read().len()
-    }
-
-    pub(crate) fn frame_misses(&self) -> u64 {
-        self.frame_misses.load(Ordering::Relaxed)
-    }
-
-    pub(crate) fn context_misses(&self) -> u64 {
-        self.context_misses.load(Ordering::Relaxed)
-    }
-
-    /// Formats a context as `Type:frame;frame`.
-    pub(crate) fn format(&self, ctx: ContextId) -> String {
-        let rec = self.record(ctx);
-        let frames = self.frames.read();
-        let mut s = String::new();
-        s.push_str(&rec.src_type);
-        s.push(':');
-        for (i, f) in rec.stack.iter().enumerate() {
-            if i > 0 {
-                s.push(';');
-            }
-            s.push_str(&frames[f.0 as usize]);
-        }
-        s
-    }
-
-    /// Dumps the whole table as a portable, `Arc`-shared export.
-    pub(crate) fn export(&self) -> ContextExport {
-        ContextExport {
-            frames: self.frames.read().clone(),
-            records: self.records.read().clone(),
-        }
-    }
-
-    /// Re-interns every record of `export` into this table, returning the
-    /// id remap: index `i` (the exporter's `ContextId(i)`) maps to the
-    /// returned `ContextId`. Frame names are remapped once up front, so a
-    /// merge costs one frame intern per distinct frame plus one context
-    /// intern per record — no per-record string materialization.
-    pub(crate) fn import(&self, export: &ContextExport) -> Vec<ContextId> {
-        let frame_remap: Vec<FrameId> = export
-            .frames
-            .iter()
-            .map(|name| self.intern_frame(name).0)
-            .collect();
-        let mut buf: Vec<FrameId> = Vec::new();
-        export
-            .records
-            .iter()
-            .map(|rec| {
-                buf.clear();
-                buf.extend(rec.stack.iter().map(|f| frame_remap[f.0 as usize]));
-                self.intern(&rec.src_type, &buf, buf.len()).0
-            })
-            .collect()
     }
 }
 
@@ -837,61 +625,6 @@ mod tests {
             .map(|i| s.enter(&format!("f{i}")))
             .collect();
         s.with_top(TOP_BUF + 2, |ids| assert_eq!(ids.len(), TOP_BUF + 2));
-    }
-
-    #[test]
-    fn striped_table_stays_exact_under_concurrent_interning() {
-        // Many threads hammer one heap's striped intern table with
-        // overlapping and thread-unique contexts. The table must stay
-        // exact: every id resolves to the context that was interned,
-        // duplicates collapse to one id, and the miss counters count
-        // exactly the distinct entries.
-        let heap = Heap::new();
-        const THREADS: usize = 8;
-        const SHARED: usize = 40;
-        let per_thread: Vec<Vec<(String, ContextId)>> = std::thread::scope(|s| {
-            let handles: Vec<_> = (0..THREADS)
-                .map(|t| {
-                    let heap = heap.clone();
-                    s.spawn(move || {
-                        let mut got = Vec::new();
-                        for round in 0..50 {
-                            for i in 0..SHARED {
-                                // Same logical context from every thread.
-                                let frames = vec![format!("Shared.site:{i}")];
-                                let ctx = heap.intern_context("HashMap", &frames, 2);
-                                if round == 0 {
-                                    got.push((format!("HashMap:Shared.site:{i}"), ctx));
-                                }
-                            }
-                            // One context only this thread interns.
-                            let frames = vec![format!("Own.thread:{t}")];
-                            let ctx = heap.intern_context("ArrayList", &frames, 2);
-                            if round == 0 {
-                                got.push((format!("ArrayList:Own.thread:{t}"), ctx));
-                            }
-                        }
-                        got
-                    })
-                })
-                .collect();
-            handles.into_iter().map(|h| h.join().unwrap()).collect()
-        });
-
-        assert_eq!(heap.context_count(), SHARED + THREADS);
-        let (frame_misses, ctx_misses) = heap.context_intern_misses();
-        assert_eq!(frame_misses, (SHARED + THREADS) as u64);
-        assert_eq!(ctx_misses, (SHARED + THREADS) as u64);
-        for got in per_thread {
-            for (expected, ctx) in got {
-                assert_eq!(heap.format_context(ctx), expected);
-            }
-        }
-        // Duplicate interning across threads collapsed: re-interning any
-        // shared context is a hit from every thread's perspective.
-        let again = heap.intern_context("HashMap", &["Shared.site:0".to_owned()], 2);
-        assert_eq!(heap.format_context(again), "HashMap:Shared.site:0");
-        assert_eq!(heap.context_intern_misses(), (frame_misses, ctx_misses));
     }
 
     #[test]

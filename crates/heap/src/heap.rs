@@ -27,17 +27,18 @@
 //! # Single-mutator contract
 //!
 //! Every heap is a single-mutator cell guarded by one atomic busy flag:
-//! each operation swaps the flag on entry and clears it on exit, so the
-//! hot path takes no lock. One thread at a time may be inside a heap; a
-//! second thread entering while the first is still inside panics instead
-//! of blocking, naming the operation (and, for a partition heap, the
-//! partition from [`HeapConfig::shard_index`]). Sequential runs, the
-//! parallel runtime's per-partition heaps, its merge parent (touched only
-//! after the join) and serve tenants all satisfy this; the GC's scan
-//! workers borrow the heap's state read-only from inside one entry.
+//! each operation — allocation, GC, and context interning alike — swaps
+//! the flag on entry and clears it on exit, so the hot path takes no lock.
+//! One thread at a time may be inside a heap; a second thread entering
+//! while the first is still inside panics instead of blocking, naming the
+//! operation (and, for a partition heap, the partition from
+//! [`HeapConfig::shard_index`]). Sequential runs, the parallel runtime's
+//! per-partition heaps, its merge parent (touched only after the join)
+//! and serve tenants all satisfy this; the GC's scan workers borrow the
+//! heap's state read-only from inside one entry.
 
 use crate::clock::SimClock;
-use crate::context::{ContextExport, ContextId, FrameId, StripedContextTable};
+use crate::context::{ContextExport, ContextId, ContextTable, FrameId};
 use crate::gc;
 use crate::layout::MemoryModel;
 use crate::object::{ClassId, ElemKind, ObjBody, ObjId, Object, ObjectView, RefRange};
@@ -50,7 +51,7 @@ use chameleon_telemetry::{Telemetry, TraceLane};
 use std::collections::{HashMap, VecDeque};
 use std::fmt;
 use std::ops::{Deref, DerefMut};
-use std::sync::{Arc, OnceLock};
+use std::sync::Arc;
 
 /// Panic payload used for the simulated `OutOfMemoryError`.
 ///
@@ -180,9 +181,8 @@ pub(crate) struct HeapInner {
     pub(crate) bytes_since_gc: u64,
     pub(crate) roots: HashMap<ObjId, usize>,
     pub(crate) classes: ClassRegistry,
-    /// Shared with the owning [`Heap`] handle: context interning never
-    /// takes the heap lock, only the table's internal stripes.
-    pub(crate) contexts: Arc<StripedContextTable>,
+    /// Frame and allocation-context intern table.
+    pub(crate) contexts: ContextTable,
     pub(crate) cycles: Vec<CycleStats>,
     pub(crate) gc_config: GcConfig,
     pub(crate) clock: Option<SimClock>,
@@ -267,8 +267,7 @@ impl DerefMut for ShardGuard<'_> {
 /// Clones share one heap and may move between threads, but only one
 /// thread at a time may be inside a heap operation. Entering the heap
 /// while another thread is inside it panics instead of blocking (see the
-/// module docs). Context interning goes through the striped intern table
-/// and may run from any number of threads at once.
+/// module docs).
 ///
 /// # Examples
 ///
@@ -288,13 +287,6 @@ impl DerefMut for ShardGuard<'_> {
 #[derive(Clone)]
 pub struct Heap {
     cell: Arc<ShardCell>,
-    /// Context-intern table, reachable without the heap lock so warm
-    /// capture never serializes on the heap. Also held inside `HeapInner`
-    /// for the collector's read-side accounting.
-    contexts: Arc<StripedContextTable>,
-    /// Capture-path telemetry handles, set once by the first
-    /// [`Heap::attach_telemetry`] (lock-free to read thereafter).
-    capture_tele: Arc<OnceLock<HeapTelemetry>>,
 }
 
 impl fmt::Debug for Heap {
@@ -329,7 +321,6 @@ impl Heap {
 
     /// Creates a heap with an explicit configuration.
     pub fn with_config(config: HeapConfig) -> Self {
-        let contexts = Arc::new(StripedContextTable::new());
         let inner = HeapInner {
             model: config.model,
             slab: Vec::new(),
@@ -348,7 +339,7 @@ impl Heap {
             bytes_since_gc: 0,
             roots: HashMap::new(),
             classes: ClassRegistry::new(),
-            contexts: Arc::clone(&contexts),
+            contexts: ContextTable::new(),
             cycles: Vec::new(),
             gc_config: config.gc,
             clock: None,
@@ -369,8 +360,6 @@ impl Heap {
                 index: config.shard_index,
                 inner: UnsafeCell::new(inner),
             }),
-            contexts,
-            capture_tele: Arc::new(OnceLock::new()),
         }
     }
 
@@ -426,27 +415,20 @@ impl Heap {
     /// afterwards the allocation/capture/GC paths pay one enabled-check when
     /// the handle is disabled and lock-free atomics when enabled. Telemetry
     /// never charges the [`SimClock`], so simulated results are identical
-    /// with it on, off, or absent.
-    ///
-    /// The context-capture counters bind to the *first* telemetry handle
-    /// attached to this heap (they are read without the heap lock);
-    /// re-attaching redirects only the GC-side metrics.
+    /// with it on, off, or absent. Re-attaching redirects every metric,
+    /// context-capture counters included, to the new handle.
     pub fn attach_telemetry(&self, telemetry: &Telemetry) {
         self.lock("attach_telemetry").telemetry = Some(HeapTelemetry::new(telemetry));
-        let _ = self.capture_tele.set(HeapTelemetry::new(telemetry));
     }
 
     /// Attaches an execution-trace lane: GC cycles record causal phase
-    /// spans (mark, sharded scan, sweep, snapshot capture) and the
-    /// context-intern table records stripe-wait spans on its miss path
-    /// (binding to the *first* lane attached, like the capture counters).
-    /// Tracing reads only the wall clock and never charges the
-    /// [`SimClock`], so simulated results are bit-identical with it
-    /// absent, armed, or exporting. Also arms the flight-recorder anomaly
-    /// trigger (see [`GcConfig::anomaly_factor`]).
+    /// spans (mark, sharded scan, sweep, snapshot capture). Re-attaching
+    /// replaces the lane. Tracing reads only the wall clock and never
+    /// charges the [`SimClock`], so simulated results are bit-identical
+    /// with it absent, armed, or exporting. Also arms the flight-recorder
+    /// anomaly trigger (see [`GcConfig::anomaly_factor`]).
     pub fn attach_tracer(&self, lane: &TraceLane) {
         self.lock("attach_tracer").tracer = Some(lane.clone());
-        self.contexts.set_tracer(lane.clone());
     }
 
     /// Enables (with `Some`) or disables (with `None`) continuous heap
@@ -537,30 +519,29 @@ impl Heap {
 
     /// Interns an allocation context from frame display names
     /// (innermost first), truncated to `depth`.
-    ///
-    /// Context interning never takes the heap lock: it goes straight to
-    /// the striped intern table, so captures from the mutator are
-    /// lock-free with respect to allocation and GC.
     pub fn intern_context(&self, src_type: &str, frames: &[String], depth: usize) -> ContextId {
+        let mut inner = self.lock("intern_context");
+        let table = &mut inner.contexts;
         let ids: Vec<FrameId> = frames
             .iter()
             .take(depth)
-            .map(|f| self.contexts.intern_frame(f).0)
+            .map(|f| table.intern_frame(f))
             .collect();
-        self.contexts.intern(src_type, &ids, depth).0
+        table.intern(src_type, &ids, depth)
     }
 
     /// Interns a single stack frame into this heap's context table.
     ///
-    /// The hit path is a borrowed lookup under one stripe read-lock: no
-    /// allocation once the frame is warm, and no heap lock ever.
-    /// [`CallStackSim::for_heap`](crate::context::CallStackSim::for_heap)
+    /// The hit path is a borrowed lookup: no allocation once the frame is
+    /// warm. [`CallStackSim::for_heap`](crate::context::CallStackSim::for_heap)
     /// stacks use this so their frame ids are directly valid for
     /// [`Heap::intern_context_ids`].
     pub fn intern_frame(&self, name: &str) -> FrameId {
-        let (id, missed) = self.contexts.intern_frame(name);
-        if missed {
-            if let Some(ht) = self.capture_tele.get().filter(|ht| ht.on()) {
+        let mut inner = self.lock("intern_frame");
+        let misses = inner.contexts.frame_misses();
+        let id = inner.contexts.intern_frame(name);
+        if inner.contexts.frame_misses() != misses {
+            if let Some(ht) = inner.telemetry.as_ref().filter(|ht| ht.on()) {
                 ht.frame_misses.inc();
             }
         }
@@ -569,24 +550,28 @@ impl Heap {
 
     /// Resolves a frame id previously returned by [`Heap::intern_frame`].
     pub fn frame_name(&self, frame: FrameId) -> String {
-        self.contexts.frame_name(frame).to_string()
+        self.lock("frame_name")
+            .contexts
+            .frame_name(frame)
+            .to_owned()
     }
 
     /// Interns an allocation context from already-interned frame ids
     /// (innermost first, truncated to `depth`).
     ///
-    /// This is the hot capture path: one stripe read-lock, a borrowed-key
-    /// probe, and zero allocations when the context is already known. The
-    /// heap lock is never taken.
+    /// This is the hot capture path: one heap entry, a borrowed-key probe,
+    /// and zero allocations when the context is already known.
     pub fn intern_context_ids(
         &self,
         src_type: &str,
         frames: &[FrameId],
         depth: usize,
     ) -> ContextId {
-        let (ctx, missed) = self.contexts.intern(src_type, frames, depth);
-        if let Some(ht) = self.capture_tele.get().filter(|ht| ht.on()) {
-            if missed {
+        let mut inner = self.lock("intern_context_ids");
+        let misses = inner.contexts.context_misses();
+        let ctx = inner.contexts.intern(src_type, frames, depth);
+        if let Some(ht) = inner.telemetry.as_ref().filter(|ht| ht.on()) {
+            if inner.contexts.context_misses() != misses {
                 ht.ctx_misses.inc();
             } else {
                 ht.ctx_hits.inc();
@@ -599,27 +584,37 @@ impl Heap {
     /// intern calls actually allocated. Warm capture paths leave both
     /// counters unchanged, which tests assert on.
     pub fn context_intern_misses(&self) -> (u64, u64) {
-        (self.contexts.frame_misses(), self.contexts.context_misses())
+        let inner = self.lock("context_intern_misses");
+        (
+            inner.contexts.frame_misses(),
+            inner.contexts.context_misses(),
+        )
     }
 
     /// Formats a context in the paper's `Type:frame;frame` style.
     pub fn format_context(&self, ctx: ContextId) -> String {
-        self.contexts.format(ctx)
+        self.lock("format_context").contexts.format(ctx)
     }
 
     /// Source type recorded for a context.
     pub fn context_src_type(&self, ctx: ContextId) -> String {
-        self.contexts.record(ctx).src_type.to_string()
+        self.lock("context_src_type")
+            .contexts
+            .record(ctx)
+            .src_type
+            .to_string()
     }
 
     /// Frame display names of a context, innermost first (portable across
     /// heaps: re-interning them reproduces the same logical context).
     pub fn context_frames(&self, ctx: ContextId) -> Vec<String> {
-        self.contexts
+        let inner = self.lock("context_frames");
+        let table = &inner.contexts;
+        table
             .record(ctx)
             .stack
             .iter()
-            .map(|f| self.contexts.frame_name(*f).to_string())
+            .map(|f| table.frame_name(*f).to_owned())
             .collect()
     }
 
@@ -630,36 +625,14 @@ impl Heap {
 
     /// Number of distinct allocation contexts interned.
     pub fn context_count(&self) -> usize {
-        self.contexts.len()
-    }
-
-    /// Dumps every interned context as a `(src_type, frames)` pair, in
-    /// context-id order (index `i` is `ContextId(i)`).
-    ///
-    /// This materializes owned `String`s; the parallel runner's merge uses
-    /// the allocation-free [`Heap::export_contexts`] /
-    /// [`Heap::import_contexts`] pair instead.
-    pub fn context_records(&self) -> Vec<(String, Vec<String>)> {
-        let export = self.contexts.export();
-        export
-            .records
-            .iter()
-            .map(|rec| {
-                let frames = rec
-                    .stack
-                    .iter()
-                    .map(|f| export.frames[f.0 as usize].to_string())
-                    .collect();
-                (rec.src_type.to_string(), frames)
-            })
-            .collect()
+        self.lock("context_count").contexts.len()
     }
 
     /// Dumps the context table as an `Arc`-shared [`ContextExport`]:
     /// frame names in `FrameId` order plus records in `ContextId` order,
     /// with every string shared rather than copied.
     pub fn export_contexts(&self) -> ContextExport {
-        self.contexts.export()
+        self.lock("export_contexts").contexts.export()
     }
 
     /// Re-interns `export` (from another heap) into this heap's context
@@ -668,7 +641,7 @@ impl Heap {
     /// parallel runner's partition merge; by construction the remap is a
     /// pure function of the two tables' contents, never of thread timing.
     pub fn import_contexts(&self, export: &ContextExport) -> Vec<ContextId> {
-        self.contexts.import(export)
+        self.lock("import_contexts").contexts.import(export)
     }
 
     // ----- allocation -----------------------------------------------------------
@@ -1485,23 +1458,32 @@ mod tests {
 
     #[test]
     fn concurrent_entry_panics_naming_the_operation() {
-        let heap = Heap::new();
-        let _held = heap.lock("a");
-        let other = heap.clone();
-        let payload = std::thread::scope(|s| {
-            s.spawn(move || {
-                let _ = other.lock("b");
-            })
-            .join()
-            .expect_err("a second thread entering the heap must panic")
-        });
-        let msg = payload
-            .downcast_ref::<String>()
-            .cloned()
-            .unwrap_or_default();
+        fn second_entry_panic(op: impl FnOnce(&Heap) + Send) -> String {
+            let heap = Heap::new();
+            let _held = heap.lock("a");
+            let other = heap.clone();
+            let payload = std::thread::scope(|s| {
+                s.spawn(move || op(&other))
+                    .join()
+                    .expect_err("a second thread entering the heap must panic")
+            });
+            payload
+                .downcast_ref::<String>()
+                .cloned()
+                .unwrap_or_default()
+        }
+        let msg = second_entry_panic(|h| drop(h.lock("b")));
         assert!(
             msg.contains("entered concurrently during `b`"),
             "panic names the colliding operation: {msg}"
+        );
+        // Context interning enters the cell like every other operation.
+        let msg = second_entry_panic(|h| {
+            h.intern_context("HashMap", &["F.m:1".to_owned()], 2);
+        });
+        assert!(
+            msg.contains("entered concurrently during `intern_context`"),
+            "interning names itself: {msg}"
         );
     }
 }

@@ -4,9 +4,9 @@
 //! kernels use. Inside a model run each operation is a scheduling point
 //! over a per-location store history (so relaxed/acquire loads may observe
 //! stale-but-coherent values); outside one it delegates to the plain std
-//! atomic it wraps. [`Mutex`] and [`RwLock`] follow the workspace's
-//! `parking_lot` shim API (guards without poison `Result`s) and
-//! participate in scheduling and happens-before tracking.
+//! atomic it wraps. [`Mutex`] follows the workspace's `parking_lot` shim
+//! API (guards without poison `Result`s) and participates in scheduling
+//! and happens-before tracking.
 
 use crate::rt;
 use std::ops::{Deref, DerefMut};
@@ -260,116 +260,6 @@ impl<T> Drop for MutexGuard<'_, T> {
         self.guard.take();
         if let Some(id) = self.id {
             rt::unlock_mutex(id);
-        }
-    }
-}
-
-/// Model-aware reader-writer lock with the `parking_lot`-style guard API.
-#[derive(Debug, Default)]
-pub struct RwLock<T> {
-    inner: std::sync::RwLock<T>,
-    /// Lazily-registered model id: 0 = unregistered, otherwise id + 1.
-    id: AtomicUsize,
-}
-
-impl<T> RwLock<T> {
-    /// Wraps `value`.
-    pub fn new(value: T) -> Self {
-        let l = RwLock {
-            inner: std::sync::RwLock::new(value),
-            id: AtomicUsize::new(0),
-        };
-        l.model_id();
-        l
-    }
-
-    fn model_id(&self) -> Option<usize> {
-        rt::lazy_rwlock(&self.id)
-    }
-
-    /// Acquires shared read access.
-    pub fn read(&self) -> RwLockReadGuard<'_, T> {
-        match self.model_id() {
-            Some(id) => {
-                rt::lock_rw(id, false);
-                let g = recover(self.inner.try_read()).expect("model granted a held read lock");
-                RwLockReadGuard {
-                    guard: Some(g),
-                    id: Some(id),
-                }
-            }
-            None => RwLockReadGuard {
-                guard: Some(self.inner.read().unwrap_or_else(|e| e.into_inner())),
-                id: None,
-            },
-        }
-    }
-
-    /// Acquires exclusive write access.
-    pub fn write(&self) -> RwLockWriteGuard<'_, T> {
-        match self.model_id() {
-            Some(id) => {
-                rt::lock_rw(id, true);
-                let g = recover(self.inner.try_write()).expect("model granted a held write lock");
-                RwLockWriteGuard {
-                    guard: Some(g),
-                    id: Some(id),
-                }
-            }
-            None => RwLockWriteGuard {
-                guard: Some(self.inner.write().unwrap_or_else(|e| e.into_inner())),
-                id: None,
-            },
-        }
-    }
-}
-
-/// Shared guard returned by [`RwLock::read`].
-pub struct RwLockReadGuard<'a, T> {
-    guard: Option<std::sync::RwLockReadGuard<'a, T>>,
-    id: Option<usize>,
-}
-
-impl<T> Deref for RwLockReadGuard<'_, T> {
-    type Target = T;
-    fn deref(&self) -> &T {
-        self.guard.as_ref().expect("guard present until drop")
-    }
-}
-
-impl<T> Drop for RwLockReadGuard<'_, T> {
-    fn drop(&mut self) {
-        self.guard.take();
-        if let Some(id) = self.id {
-            rt::unlock_rw(id, false);
-        }
-    }
-}
-
-/// Exclusive guard returned by [`RwLock::write`].
-pub struct RwLockWriteGuard<'a, T> {
-    guard: Option<std::sync::RwLockWriteGuard<'a, T>>,
-    id: Option<usize>,
-}
-
-impl<T> Deref for RwLockWriteGuard<'_, T> {
-    type Target = T;
-    fn deref(&self) -> &T {
-        self.guard.as_ref().expect("guard present until drop")
-    }
-}
-
-impl<T> DerefMut for RwLockWriteGuard<'_, T> {
-    fn deref_mut(&mut self) -> &mut T {
-        self.guard.as_mut().expect("guard present until drop")
-    }
-}
-
-impl<T> Drop for RwLockWriteGuard<'_, T> {
-    fn drop(&mut self) {
-        self.guard.take();
-        if let Some(id) = self.id {
-            rt::unlock_rw(id, true);
         }
     }
 }

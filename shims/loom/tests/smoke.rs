@@ -173,24 +173,3 @@ fn passthrough_outside_model() {
     let c = UnsafeCell::new(9u32);
     c.with(|p| assert_eq!(unsafe { *p }, 9));
 }
-
-#[test]
-fn rwlock_readers_and_writer_serialize() {
-    let b = loom::Builder {
-        max_schedules: 2_000,
-        ..loom::Builder::default()
-    };
-    b.check(|| {
-        let lock = loom::sync::Arc::new(loom::sync::RwLock::new(0u32));
-        let l2 = loom::sync::Arc::clone(&lock);
-        let t = loom::thread::spawn(move || {
-            *l2.write() += 1;
-            *l2.read()
-        });
-        let seen = *lock.read();
-        assert!(seen <= 1);
-        let from_writer = t.join().unwrap();
-        assert!(from_writer >= 1);
-        assert_eq!(*lock.read(), 1);
-    });
-}

@@ -70,53 +70,6 @@ impl<T> From<T> for Mutex<T> {
     }
 }
 
-/// RwLock with parking_lot's poison-free API.
-pub struct RwLock<T: ?Sized>(std::sync::RwLock<T>);
-
-/// Guard returned by [`RwLock::read`].
-pub type RwLockReadGuard<'a, T> = std::sync::RwLockReadGuard<'a, T>;
-/// Guard returned by [`RwLock::write`].
-pub type RwLockWriteGuard<'a, T> = std::sync::RwLockWriteGuard<'a, T>;
-
-impl<T> RwLock<T> {
-    /// Creates a new reader-writer lock.
-    pub const fn new(value: T) -> Self {
-        RwLock(std::sync::RwLock::new(value))
-    }
-
-    /// Consumes the lock, returning the inner value.
-    pub fn into_inner(self) -> T {
-        self.0.into_inner().unwrap_or_else(|e| e.into_inner())
-    }
-}
-
-impl<T: ?Sized> RwLock<T> {
-    /// Acquires a shared read lock. Never poisons.
-    pub fn read(&self) -> RwLockReadGuard<'_, T> {
-        self.0.read().unwrap_or_else(|e| e.into_inner())
-    }
-
-    /// Acquires an exclusive write lock. Never poisons.
-    pub fn write(&self) -> RwLockWriteGuard<'_, T> {
-        self.0.write().unwrap_or_else(|e| e.into_inner())
-    }
-}
-
-impl<T: Default> Default for RwLock<T> {
-    fn default() -> Self {
-        RwLock::new(T::default())
-    }
-}
-
-impl<T: ?Sized + fmt::Debug> fmt::Debug for RwLock<T> {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self.0.try_read() {
-            Ok(g) => f.debug_tuple("RwLock").field(&&*g).finish(),
-            Err(_) => f.write_str("RwLock(<locked>)"),
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -127,12 +80,5 @@ mod tests {
         *m.lock() += 1;
         assert_eq!(*m.lock(), 2);
         assert_eq!(m.into_inner(), 2);
-    }
-
-    #[test]
-    fn rwlock_roundtrip() {
-        let l = RwLock::new(vec![1]);
-        l.write().push(2);
-        assert_eq!(*l.read(), vec![1, 2]);
     }
 }

@@ -19,7 +19,7 @@ fn small_env() -> EnvConfig {
 }
 
 #[test]
-fn sequential_run_records_workload_gc_and_stripe_spans() {
+fn sequential_run_records_workload_and_gc_spans() {
     let tracer = Tracer::new();
     let env = Env::new(&EnvConfig {
         tracer: Some(tracer.clone()),
@@ -34,7 +34,6 @@ fn sequential_run_records_workload_gc_and_stripe_spans() {
         "gc_scan",
         "gc_scan_shard",
         "gc_sweep",
-        "ctx_stripe_wait",
     ] {
         assert!(
             recs.iter().any(|r| r.name == name),
