@@ -21,7 +21,9 @@
 //! | `shutdown`      | —                                | acknowledge and stop the stream loop |
 //!
 //! Blank lines and `#`-prefixed comment lines are skipped, so recorded
-//! session scripts can be annotated.
+//! session scripts can be annotated. A line that is not valid UTF-8, or
+//! longer than [`MAX_LINE_BYTES`], gets one `{"ok":false,…}` reply and the
+//! stream carries on.
 //!
 //! **Determinism contract:** a serve session is a pure function of its
 //! command stream. Tenant state lives in `BTreeMap`s, responses are
@@ -37,8 +39,13 @@ use chameleon_heap::Heap;
 use chameleon_rules::{PolicyUpdate, RuleEngine};
 use chameleon_telemetry::json::{self, Value};
 use std::collections::BTreeMap;
-use std::io::{BufRead, Write};
+use std::io::{BufRead, Read, Write};
 use std::sync::Arc;
+
+/// Longest command line [`serve_stream`] accepts, in bytes before the
+/// newline (1 MiB). A longer line gets one error reply; the rest of it is
+/// discarded without being buffered.
+pub const MAX_LINE_BYTES: usize = 1 << 20;
 
 /// Server construction parameters. The adaptation knobs mirror
 /// [`OnlineConfig`] and apply to every tenant; unlike the single-tenant
@@ -90,6 +97,16 @@ pub struct Reply {
     pub text: String,
     /// Whether the command asked the stream loop to stop.
     pub shutdown: bool,
+}
+
+impl Reply {
+    /// The structured `{"ok":false,"error":msg}` reply to a rejected line.
+    fn error(msg: String) -> Reply {
+        Reply {
+            text: json::render(&obj(vec![("ok", Value::Bool(false)), ("error", text(msg))])),
+            shutdown: false,
+        }
+    }
 }
 
 struct Tenant {
@@ -240,16 +257,12 @@ impl Server {
     /// `{"ok":false,"error":...}` response so a misbehaving client cannot
     /// take down the other tenants.
     pub fn handle_line(&mut self, line: &str) -> Reply {
-        let (value, shutdown) = match self.dispatch(line) {
-            Ok((v, shutdown)) => (v, shutdown),
-            Err(msg) => (
-                obj(vec![("ok", Value::Bool(false)), ("error", text(msg))]),
-                false,
-            ),
-        };
-        Reply {
-            text: json::render(&value),
-            shutdown,
+        match self.dispatch(line) {
+            Ok((value, shutdown)) => Reply {
+                text: json::render(&value),
+                shutdown,
+            },
+            Err(msg) => Reply::error(msg),
         }
     }
 
@@ -492,20 +505,40 @@ impl Server {
 }
 
 /// Drives `server` over a JSONL stream: one response line per command
-/// line, blank and `#`-comment lines skipped. Returns `true` when the
-/// stream ended because of a `shutdown` command (rather than EOF).
+/// line, blank and `#`-comment lines skipped. A line that is not valid
+/// UTF-8 or exceeds [`MAX_LINE_BYTES`] gets one error reply and does not
+/// end the stream. Returns `true` when the stream ended because of a
+/// `shutdown` command (rather than EOF).
 pub fn serve_stream<R: BufRead, W: Write>(
     server: &mut Server,
-    reader: R,
+    mut reader: R,
     mut writer: W,
 ) -> std::io::Result<bool> {
-    for line in reader.lines() {
-        let line = line?;
-        let trimmed = line.trim();
-        if trimmed.is_empty() || trimmed.starts_with('#') {
-            continue;
+    // One byte past the cap tells an overlong line from a full one.
+    let limit = MAX_LINE_BYTES as u64 + 1;
+    let mut buf = Vec::new();
+    loop {
+        buf.clear();
+        if (&mut reader).take(limit).read_until(b'\n', &mut buf)? == 0 {
+            break;
         }
-        let reply = server.handle_line(trimmed);
+        let line = match buf.strip_suffix(b"\n") {
+            Some(line) => Ok(line),
+            None if buf.len() > MAX_LINE_BYTES => {
+                // Discards the rest of the line without buffering it.
+                reader.skip_until(b'\n')?;
+                Err(format!("line longer than {MAX_LINE_BYTES} bytes"))
+            }
+            None => Ok(&buf[..]),
+        };
+        let line = line.and_then(|l| {
+            std::str::from_utf8(l).map_err(|e| format!("line is not valid UTF-8: {e}"))
+        });
+        let reply = match line.map(str::trim) {
+            Ok(l) if l.is_empty() || l.starts_with('#') => continue,
+            Ok(l) => server.handle_line(l),
+            Err(msg) => Reply::error(msg),
+        };
         writeln!(writer, "{}", reply.text)?;
         if reply.shutdown {
             writer.flush()?;
@@ -781,6 +814,64 @@ mod tests {
         let reply = s.handle_line(r#"{"cmd":"tenant_open","tenant":"a","workload":"steady"}"#);
         let v = json::parse(&reply.text).unwrap();
         assert_eq!(v.get("ok").and_then(Value::as_bool), Some(true));
+    }
+
+    /// Replies of a raw byte session, parsed; asserts it ended by `shutdown`.
+    fn raw_session(input: &[u8]) -> Vec<Value> {
+        let mut out = Vec::new();
+        let ended = serve_stream(&mut server(), input, &mut out).expect("in-memory stream");
+        assert!(ended, "session ends with shutdown");
+        let out = String::from_utf8(out).expect("responses are utf-8");
+        out.lines()
+            .map(|l| json::parse(l).expect("reply parses"))
+            .collect()
+    }
+
+    fn error_of(reply: &Value) -> &str {
+        assert_eq!(reply.get("ok").and_then(Value::as_bool), Some(false));
+        reply
+            .get("error")
+            .and_then(Value::as_str)
+            .expect("error text")
+    }
+
+    #[test]
+    fn invalid_utf8_line_gets_one_error_and_the_stream_continues() {
+        let replies =
+            raw_session(b"{\"cmd\":\"fleet_report\"}\n\xff\xfe\n{\"cmd\":\"shutdown\"}\n");
+        assert_eq!(replies.len(), 3, "one reply per line: {replies:?}");
+        assert_eq!(replies[0].get("ok").and_then(Value::as_bool), Some(true));
+        assert!(error_of(&replies[1]).contains("not valid UTF-8"));
+        assert_eq!(
+            replies[2].get("cmd").and_then(Value::as_str),
+            Some("shutdown")
+        );
+    }
+
+    #[test]
+    fn overlong_line_gets_one_error_and_the_stream_continues() {
+        let mut input = vec![b'x'; MAX_LINE_BYTES];
+        input.push(b'\n');
+        input.extend(vec![b'['; 3 * MAX_LINE_BYTES + 5]);
+        input.extend_from_slice(b"\n{\"cmd\":\"shutdown\"}\n");
+        let replies = raw_session(&input);
+        assert_eq!(replies.len(), 3, "one reply per line: {replies:?}");
+        // A line of exactly the cap is read and parsed as usual.
+        assert!(error_of(&replies[0]).contains("bad json"));
+        assert!(error_of(&replies[1]).contains("longer than 1048576 bytes"));
+        assert_eq!(
+            replies[2].get("cmd").and_then(Value::as_str),
+            Some("shutdown")
+        );
+
+        // An overlong final line without a newline is rejected at EOF.
+        let mut out = Vec::new();
+        let input = vec![b'x'; MAX_LINE_BYTES + 1];
+        let ended = serve_stream(&mut server(), &input[..], &mut out).unwrap();
+        assert!(!ended, "EOF, not shutdown");
+        let out = String::from_utf8(out).unwrap();
+        assert_eq!(out.lines().count(), 1);
+        assert!(error_of(&json::parse(out.trim()).unwrap()).contains("longer than"));
     }
 
     #[cfg(unix)]

@@ -17,10 +17,17 @@
 //! Marking uses an epoch-stamped mark array kept in `HeapInner` (a slot is
 //! marked iff its stamp equals the current cycle's epoch), so no per-cycle
 //! mark allocation or clearing is needed. The mark is *dense*: it reads the
-//! generation stamps and reference ranges kept parallel to the slab, never
-//! an `Object`. With one GC thread it claims a mark with a plain load and
-//! store, walks the root map in place and reuses one work stack across
-//! cycles; only parallel markers pay for an atomic swap.
+//! root counts, generation stamps and reference ranges kept parallel to the
+//! slab, never an `Object`, and traces from the rooted slots in ascending
+//! slot order. With one GC thread it claims a mark with a plain load and
+//! store and reuses one work stack across cycles; parallel markers split
+//! the root table by slot range and pay for an atomic swap.
+//!
+//! An *elastic* heap (`Heap::set_elastic`, used only by the minimal-heap
+//! search) collects totals only: its scan computes live and swept bytes
+//! and objects and the sweep list, and skips the type distribution, the
+//! semantic collection walk and snapshot capture. The marked set, the
+//! sweep and the pause cost are the same as on a plain heap.
 
 use crate::heap::{HeapInner, ANOMALY_WARMUP, F_OCCUPIED, F_TOP_COLL, PAUSE_HISTORY};
 use crate::object::{ElemKind, ObjBody, ObjId};
@@ -43,12 +50,16 @@ pub(crate) fn collect(inner: &mut HeapInner) -> CycleStats {
         .and_then(|l| l.scope("gc"))
         .map(|s| s.arg("cycle", inner.gc_count + 1));
 
+    // Elastic heaps serve the minimal-heap search, which reads only totals:
+    // their cycles skip the semantic accounting (see `Heap::set_elastic`).
+    let accounting = inner.elastic.is_none();
     // Snapshot capture is due on cycles 1, 1+every, 1+2*every, ... after
     // profiling was enabled. One Option check per cycle when disabled.
-    let snap_due = inner
-        .heapprof
-        .as_ref()
-        .is_some_and(|s| inner.gc_count.is_multiple_of(s.config.every.max(1)));
+    let snap_due = accounting
+        && inner
+            .heapprof
+            .as_ref()
+            .is_some_and(|s| inner.gc_count.is_multiple_of(s.config.every.max(1)));
 
     // Take the reusable mark array out of the heap so workers can share
     // `&HeapInner` while holding an independent borrow of the marks.
@@ -71,8 +82,12 @@ pub(crate) fn collect(inner: &mut HeapInner) -> CycleStats {
     let scan_begin_ns = lane.as_ref().map_or(0, |l| l.now_ns());
     let scan_timer = timed.then(SpanTimer::start);
     let threads = inner.gc_config.threads.max(1);
-    let n_classes = inner.classes.len();
-    let n_contexts = inner.contexts.len();
+    // Without accounting the dense breakdown vectors stay empty.
+    let (n_classes, n_contexts) = if accounting {
+        (inner.classes.len(), inner.contexts.len())
+    } else {
+        (0, 0)
+    };
     let accs: Vec<ScanAcc> = if threads == 1 || inner.slab.len() < 2 {
         vec![scan_chunk(
             inner,
@@ -82,6 +97,7 @@ pub(crate) fn collect(inner: &mut HeapInner) -> CycleStats {
             n_classes,
             n_contexts,
             timed,
+            accounting,
             snap_due,
         )]
     } else {
@@ -95,7 +111,8 @@ pub(crate) fn collect(inner: &mut HeapInner) -> CycleStats {
                     let range = start..(start + chunk).min(shared.slab.len());
                     s.spawn(move || {
                         scan_chunk(
-                            shared, marks_ref, epoch, range, n_classes, n_contexts, timed, snap_due,
+                            shared, marks_ref, epoch, range, n_classes, n_contexts, timed,
+                            accounting, snap_due,
                         )
                     })
                 })
@@ -221,11 +238,9 @@ pub(crate) fn collect(inner: &mut HeapInner) -> CycleStats {
             }
         }
         let root_node = (n_contexts + 1) as u32;
-        for id in inner.roots.keys() {
-            if let Some(t) = inner.slot_of(*id) {
-                let tnode = inner.slab[t].ctx.map_or(n_contexts as u32, |c| c.0);
-                merged.edges.insert(snapshot::pack_edge(root_node, tnode));
-            }
+        for (t, _) in inner.roots.iter().enumerate().filter(|(_, &n)| n > 0) {
+            let tnode = inner.slab[t].ctx.map_or(n_contexts as u32, |c| c.0);
+            merged.edges.insert(snapshot::pack_edge(root_node, tnode));
         }
         snapshot::build_snapshot(
             inner.gc_count,
@@ -345,10 +360,11 @@ struct ScanAcc {
     elapsed_ns: u64,
 }
 
-/// Scans one slab chunk: live/type accounting, semantic ADT accounting for
-/// top-level collections, and garbage identification. Read-only over the
-/// whole heap (semantic walks may chase references outside the chunk); the
-/// sweep itself is applied by the caller after every worker has finished.
+/// Scans one slab chunk: live totals and garbage identification, plus —
+/// with `accounting` — the type distribution and semantic ADT accounting
+/// for top-level collections. Read-only over the whole heap (semantic walks
+/// may chase references outside the chunk); the sweep itself is applied by
+/// the caller after every worker has finished.
 #[allow(clippy::too_many_arguments)]
 fn scan_chunk(
     inner: &HeapInner,
@@ -358,6 +374,7 @@ fn scan_chunk(
     n_classes: usize,
     n_contexts: usize,
     timed: bool,
+    accounting: bool,
     snap_due: bool,
 ) -> ScanAcc {
     let timer = timed.then(SpanTimer::start);
@@ -389,6 +406,9 @@ fn scan_chunk(
         }
         acc.live_bytes += u64::from(o.size);
         acc.live_objects += 1;
+        if !accounting {
+            continue;
+        }
         let slot = &mut acc.type_dist[o.class.0 as usize];
         slot.0 += u64::from(o.size);
         slot.1 += 1;
@@ -432,65 +452,54 @@ fn scan_chunk(
 /// Marks reachable objects by stamping `epoch` into the shared mark array.
 fn mark(inner: &HeapInner, marks: &[AtomicU32], epoch: u32, stack: &mut Vec<u32>) {
     let threads = inner.gc_config.threads.max(1);
-    if threads == 1 || inner.roots.len() < 2 {
-        // hashmap-iter-ok: marking computes the reachable set, which does
-        // not depend on the order roots are traced in.
-        for &root in inner.roots.keys() {
-            trace_from::<false>(inner, marks, epoch, root, stack);
-        }
+    let slots = inner.roots.len();
+    if threads == 1 || inner.root_slots < 2 {
+        trace_roots::<false>(inner, marks, epoch, 0..slots, stack);
         return;
     }
-    // hashmap-iter-ok: the roots are only split among markers; the marked
-    // set is the same for any split.
-    let roots: Vec<ObjId> = inner.roots.keys().copied().collect();
-    let chunk = roots.len().div_ceil(threads);
+    // The marked set is the same for any split of the root table.
+    let chunk = slots.div_ceil(threads);
     std::thread::scope(|s| {
-        for part in roots.chunks(chunk) {
-            s.spawn(move || {
-                let mut stack: Vec<u32> = Vec::new();
-                for r in part {
-                    trace_from::<true>(inner, marks, epoch, *r, &mut stack);
-                }
-            });
+        for start in (0..slots).step_by(chunk) {
+            let range = start..(start + chunk).min(slots);
+            s.spawn(move || trace_roots::<true>(inner, marks, epoch, range, &mut Vec::new()));
         }
     });
 }
 
-/// Marks everything reachable from `root`. `SHARED` markers race with each
-/// other on the mark words; a sole marker does not.
-fn trace_from<const SHARED: bool>(
+/// Marks everything reachable from the rooted slots in `range`, in
+/// ascending slot order. `SHARED` markers race with each other on the mark
+/// words; a sole marker does not.
+fn trace_roots<const SHARED: bool>(
     inner: &HeapInner,
     marks: &[AtomicU32],
     epoch: u32,
-    root: ObjId,
+    range: Range<usize>,
     stack: &mut Vec<u32>,
 ) {
-    if !claim::<SHARED>(inner, marks, epoch, root) {
-        return;
-    }
-    stack.push(root.index);
-    while let Some(i) = stack.pop() {
-        for child in inner.ranges[i as usize].targets(&inner.ref_pool) {
-            if claim::<SHARED>(inner, marks, epoch, child) {
-                stack.push(child.index);
+    for (root, &count) in range.clone().zip(&inner.roots[range]) {
+        // A rooted slot is live by construction (see `HeapInner::roots`).
+        if count == 0 || !claim::<SHARED>(marks, epoch, root) {
+            continue;
+        }
+        stack.push(root as u32);
+        while let Some(i) = stack.pop() {
+            for child in inner.ranges[i as usize].targets(&inner.ref_pool) {
+                // Stale ids (swept or reused slots) are ignored, not traced.
+                if let Some(c) = inner.slot_of(child) {
+                    if claim::<SHARED>(marks, epoch, c) {
+                        stack.push(c as u32);
+                    }
+                }
             }
         }
     }
 }
 
-/// Claims the mark stamp; returns true if this caller marked it. Stale ids
-/// (swept or reused slots) are ignored rather than traced.
+/// Claims slot `i`'s mark stamp; returns true if this caller marked it.
 #[inline(always)]
-fn claim<const SHARED: bool>(
-    inner: &HeapInner,
-    marks: &[AtomicU32],
-    epoch: u32,
-    obj: ObjId,
-) -> bool {
-    if inner.slot_of(obj).is_none() {
-        return false;
-    }
-    let mark = &marks[obj.index as usize];
+fn claim<const SHARED: bool>(marks: &[AtomicU32], epoch: u32, i: usize) -> bool {
+    let mark = &marks[i];
     if SHARED {
         // relaxed: the swap only needs atomicity so each object is claimed
         // by exactly one marker; publication to the sweeper happens at join.
@@ -654,6 +663,7 @@ mod tests {
     use crate::heap::{GcConfig, Heap, HeapConfig};
     use crate::object::ElemKind;
     use crate::semantic::{AdtDescriptor, CollectionKind, SemanticMap};
+    use crate::stats::{AdtTotals, CycleStats};
 
     /// Builds an ArrayList-shaped pair: impl object + backing array of
     /// `cap` slots with `size` elements, wrapped in a top-level wrapper.
@@ -987,6 +997,73 @@ mod tests {
         let seq = build(1);
         let par = build(4);
         assert_eq!(seq, par, "snapshots must not depend on worker count");
+    }
+
+    #[test]
+    fn elastic_heap_cycles_carry_totals_only() {
+        use crate::clock::SimClock;
+        use crate::snapshot::HeapProfConfig;
+        // Array lists, one in 13 kept rooted. Each object is linked in
+        // before the next allocation, so a capacity-pressure GC between
+        // them sweeps only the lists already dropped.
+        let run = |elastic: bool| {
+            let heap = Heap::with_capacity(4096);
+            heap.attach_clock(SimClock::new());
+            heap.set_heap_profiling(Some(HeapProfConfig { every: 1 }));
+            if elastic {
+                heap.set_elastic(Some(Box::new(|_| panic!("the cap never grows"))));
+            }
+            let wrapper = heap.register_class(
+                "ListWrapper",
+                Some(SemanticMap::wrapper(CollectionKind::List)),
+            );
+            let imp = heap.register_class(
+                "ArrayListImpl",
+                Some(SemanticMap::backing(
+                    CollectionKind::List,
+                    AdtDescriptor::ArrayBacked {
+                        array_field: 0,
+                        slots_per_elem: 1,
+                    },
+                )),
+            );
+            let array = heap.register_class("Object[]", None);
+            let ctxs = [
+                heap.intern_context("ArrayList", &["A.m:1".to_owned()], 2),
+                heap.intern_context("ArrayList", &["B.m:2".to_owned()], 2),
+            ];
+            for i in 0..200u32 {
+                let w = heap.alloc_scalar(wrapper, 1, 0, Some(ctxs[i as usize % 2]));
+                heap.add_root(w);
+                let im = heap.alloc_scalar(imp, 1, 8, None);
+                heap.set_ref(w, 0, Some(im));
+                let arr = heap.alloc_array(array, ElemKind::Ref, 6 + i % 5, None);
+                heap.set_ref(im, 0, Some(arr));
+                heap.set_meta(im, 0, i64::from(i % 4));
+                heap.set_meta(w, 0, i64::from(i % 4));
+                if i % 13 != 0 {
+                    heap.remove_root(w);
+                }
+            }
+            assert_eq!(heap.capacity(), Some(4096));
+            (heap.cycles(), heap.heap_snapshots())
+        };
+        let (plain, plain_snaps) = run(false);
+        let (elastic, elastic_snaps) = run(true);
+        assert!(plain.len() > 3, "capacity pressure collects repeatedly");
+        assert!(!plain_snaps.is_empty());
+        assert!(elastic_snaps.is_empty(), "no snapshot on an elastic heap");
+        assert_eq!(plain.len(), elastic.len());
+        for (p, e) in plain.iter().zip(&elastic) {
+            assert!(!p.per_context.is_empty() && !p.type_distribution.is_empty());
+            let totals = CycleStats {
+                collection: AdtTotals::default(),
+                per_context: Vec::new(),
+                type_distribution: Vec::new(),
+                ..p.clone()
+            };
+            assert_eq!(*e, totals, "same totals, empty breakdown");
+        }
     }
 
     #[test]

@@ -9,13 +9,17 @@
 //!
 //! # Storage layout
 //!
-//! Objects live in a *dense* slab (`Vec<Object>`) with three parallel
+//! Objects live in a *dense* slab (`Vec<Object>`) with four parallel
 //! vectors: a packed flag byte per slot (occupied, array, top-level
-//! semantic map), the slot's generation stamp, and its reference range.
-//! The GC's fused scan reads the flag byte instead of an `Option`
-//! discriminant plus a class-registry lookup; the mark reads only the
-//! stamps and ranges, never the object. A swept slot keeps its (stale)
-//! object in place so reuse writes fields instead of constructing.
+//! semantic map), the slot's generation stamp, its reference range, and
+//! its root registration count. The GC's fused scan reads the flag byte
+//! instead of an `Option` discriminant plus a class-registry lookup; the
+//! mark reads only the root counts, stamps and ranges, never the object,
+//! and finds its roots by walking the count vector in slot order. A
+//! rooted slot is always marked, so it is never swept: a reused slot
+//! starts unrooted, and rooting a stale id is a no-op. A swept slot keeps
+//! its (stale) object in place so reuse writes fields instead of
+//! constructing.
 //!
 //! Reference fields and array slots live in one shared *ref pool* arena
 //! per heap, handed out as [`RefRange`](crate::object::RefRange)s with
@@ -86,8 +90,8 @@ pub type Growth = Box<dyn Fn(u64) -> u64 + Send + Sync>;
 /// Collector configuration.
 #[derive(Debug, Clone, Copy)]
 pub struct GcConfig {
-    /// Marking threads (the paper uses one per hardware core; values > 1
-    /// exercise the parallel-marking path).
+    /// Mark and scan worker threads (the paper uses one per hardware core;
+    /// values > 1 exercise the parallel mark and the sharded scan).
     pub threads: usize,
     /// Simulated cost units charged per KiB of live data marked.
     pub cost_per_live_kib: u64,
@@ -173,13 +177,19 @@ pub(crate) struct HeapInner {
     pub(crate) heap_bytes: u64,
     pub(crate) capacity: Option<u64>,
     /// Growth rule of an elastic heap (see [`Heap::set_elastic`]); `None`
-    /// panics with [`OutOfMemory`] instead of growing.
-    elastic: Option<Growth>,
+    /// panics with [`OutOfMemory`] instead of growing. An elastic heap's
+    /// cycles record totals only (see `gc::collect`).
+    pub(crate) elastic: Option<Growth>,
     /// Largest `live_after_gc + request` seen at a capacity-pressure GC.
     peak_need: u64,
     pub(crate) gc_interval_bytes: Option<u64>,
     pub(crate) bytes_since_gc: u64,
-    pub(crate) roots: HashMap<ObjId, usize>,
+    /// Per-slot root registration counts, parallel to `slab` (0 = not a
+    /// root). Only live slots are ever counted, and a rooted slot is never
+    /// swept, so a slot reused by a new object starts at 0.
+    pub(crate) roots: Vec<u32>,
+    /// Number of slots with a nonzero root count.
+    pub(crate) root_slots: usize,
     pub(crate) classes: ClassRegistry,
     /// Frame and allocation-context intern table.
     pub(crate) contexts: ContextTable,
@@ -337,7 +347,8 @@ impl Heap {
             peak_need: 0,
             gc_interval_bytes: config.gc_interval_bytes,
             bytes_since_gc: 0,
-            roots: HashMap::new(),
+            roots: Vec::new(),
+            root_slots: 0,
             classes: ClassRegistry::new(),
             contexts: ContextTable::new(),
             cycles: Vec::new(),
@@ -490,6 +501,14 @@ impl Heap {
     /// is identical to a plain capped run, so "the cap never grew" means
     /// "completes under the starting cap", and the final cap is one the
     /// run completes under.
+    ///
+    /// Elastic heaps serve the minimal-heap search, which reads only
+    /// [`Heap::peak_need`] and [`Heap::capacity`], so their GC cycles skip
+    /// the semantic accounting: each [`CycleStats`] carries the live and
+    /// swept totals, the pause cost and its clock reading, but an empty
+    /// `per_context` and `type_distribution`, a default `collection`, and
+    /// no heap snapshot is captured. Which objects are marked and swept,
+    /// and what the clock is charged, are the same as on a plain heap.
     pub fn set_elastic(&self, grow: Option<Growth>) {
         self.lock("set_elastic").elastic = grow;
     }
@@ -766,10 +785,8 @@ impl Heap {
             let range = inner.ranges[inner.checked(ids[src])];
             inner.ref_pool[range.slot(field)] = Some(ids[dst]);
         }
-        // hashmap-iter-ok: `roots` here is the `&[usize]` parameter of
-        // request indices, not the heap's root map.
         for &root in roots {
-            *inner.roots.entry(ids[root]).or_insert(0) += 1;
+            inner.add_root(ids[root]);
         }
         ids
     }
@@ -856,25 +873,28 @@ impl Heap {
 
     // ----- roots ----------------------------------------------------------------
 
-    /// Registers `obj` as a GC root (reference counted).
+    /// Registers `obj` as a GC root (reference counted). A stale `obj`
+    /// (already swept) is ignored: it can never root its slot's next
+    /// occupant.
     pub fn add_root(&self, obj: ObjId) {
-        *self.lock("add_root").roots.entry(obj).or_insert(0) += 1;
+        self.lock("add_root").add_root(obj);
     }
 
-    /// Releases one root registration of `obj`.
+    /// Releases one root registration of `obj`; a no-op if `obj` is stale
+    /// or not registered.
     pub fn remove_root(&self, obj: ObjId) {
         let mut inner = self.lock("remove_root");
-        if let Some(n) = inner.roots.get_mut(&obj) {
-            *n -= 1;
-            if *n == 0 {
-                inner.roots.remove(&obj);
+        if let Some(i) = inner.slot_of(obj).filter(|&i| inner.roots[i] > 0) {
+            inner.roots[i] -= 1;
+            if inner.roots[i] == 0 {
+                inner.root_slots -= 1;
             }
         }
     }
 
     /// Number of distinct roots.
     pub fn root_count(&self) -> usize {
-        self.lock("root_count").roots.len()
+        self.lock("root_count").root_slots
     }
 
     // ----- GC and statistics ----------------------------------------------------
@@ -1052,6 +1072,16 @@ impl HeapInner {
         }
     }
 
+    /// Adds one root registration to `obj`'s slot; a stale `obj` is ignored.
+    fn add_root(&mut self, obj: ObjId) {
+        if let Some(i) = self.slot_of(obj) {
+            if self.roots[i] == 0 {
+                self.root_slots += 1;
+            }
+            self.roots[i] += 1;
+        }
+    }
+
     /// Takes a `len`-slot range from the ref pool: exact-size free-bucket
     /// reuse first (slots re-nulled), fresh pool growth otherwise.
     fn alloc_range(&mut self, len: u32) -> RefRange {
@@ -1118,6 +1148,7 @@ impl HeapInner {
             slot.ctx = ctx;
             slot.body = body;
             debug_assert!(slot.meta.is_empty(), "released slot keeps cleared meta");
+            debug_assert_eq!(self.roots[i as usize], 0, "a rooted slot is never swept");
             self.flags[i as usize] = flags;
             self.gens[i as usize] = generation;
             self.ranges[i as usize] = refs;
@@ -1133,6 +1164,7 @@ impl HeapInner {
             self.flags.push(flags);
             self.gens.push(generation);
             self.ranges.push(refs);
+            self.roots.push(0);
             (self.slab.len() - 1) as u32
         };
         ObjId { index, generation }
@@ -1256,6 +1288,35 @@ mod tests {
         heap.remove_root(o);
         heap.gc();
         assert!(!heap.is_live(o));
+    }
+
+    #[test]
+    fn stale_root_ids_are_no_ops() {
+        let (heap, class) = simple_heap();
+        let old = heap.alloc_scalar(class, 0, 0, None);
+        heap.gc(); // sweeps `old`
+        heap.add_root(old);
+        assert_eq!(heap.root_count(), 0, "a stale id roots nothing");
+        let new = heap.alloc_scalar(class, 0, 0, None);
+        assert_eq!(new.index, old.index, "the slot is reused");
+        heap.add_root(old);
+        assert_eq!(heap.root_count(), 0);
+        heap.gc();
+        assert!(
+            !heap.is_live(new),
+            "the stale id never roots the new occupant"
+        );
+
+        let new = heap.alloc_scalar(class, 0, 0, None);
+        assert_eq!(new.index, old.index);
+        heap.add_root(new);
+        heap.remove_root(old);
+        assert_eq!(heap.root_count(), 1, "a stale id never unroots it either");
+        heap.gc();
+        assert!(heap.is_live(new));
+        heap.remove_root(new);
+        heap.remove_root(new);
+        assert_eq!(heap.root_count(), 0, "removing an unrooted id is a no-op");
     }
 
     #[test]

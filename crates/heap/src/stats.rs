@@ -41,6 +41,11 @@ impl AdtTotals {
 ///
 /// `PartialEq` compares every field; the GC equivalence tests use it to
 /// assert that parallel and sequential cycles produce byte-identical stats.
+///
+/// A cycle of an elastic heap (see `Heap::set_elastic`) carries totals
+/// only: `cycle`, `at_units`, the live and swept totals and
+/// `pause_cost_units` are as on a plain heap, while `collection` is the
+/// default and `per_context` and `type_distribution` are empty.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct CycleStats {
     /// Cycle ordinal (1-based).

@@ -3,10 +3,12 @@
 //! all four `AdtDescriptor` shapes, a cycle run with 2 or 4 worker threads
 //! must produce `CycleStats` — including `collection`, `per_context` and
 //! `type_distribution` — byte-for-byte identical to a single-threaded run.
+//! Random mutator scripts also check the root table against a model root
+//! multiset, including roots taken and released through stale ids.
 
 use chameleon_heap::semantic::{AdtDescriptor, CollectionKind, SemanticMap};
 use chameleon_heap::stats::CycleStats;
-use chameleon_heap::{ElemKind, GcConfig, Heap, HeapConfig};
+use chameleon_heap::{ElemKind, GcConfig, Heap, HeapConfig, ObjId};
 use proptest::prelude::*;
 
 /// `(shape, size, capacity, rooted, context)` of one synthetic collection.
@@ -171,4 +173,116 @@ fn large_heap_equivalence() {
     assert_eq!(seq, par);
     assert!(seq.live_objects > 1000);
     assert!(seq.swept_objects >= 5000);
+}
+
+/// One mutator step `(op, a, b)`; `a` and `b` pick objects and fields.
+type Step = (u32, u32, u32);
+
+/// Runs `steps`, then one last GC, on a heap with `threads` GC workers,
+/// checking every GC's live set and every `root_count()` against a model:
+/// a root multiset plus the reference graph, where rooting or unrooting a
+/// swept object is a no-op. Returns the cycles' statistics.
+fn run_root_script(steps: &[Step], threads: usize) -> Vec<CycleStats> {
+    let heap = Heap::with_config(HeapConfig {
+        gc: GcConfig {
+            threads,
+            ..GcConfig::default()
+        },
+        ..HeapConfig::default()
+    });
+    let classes = [
+        heap.register_class("Node", None),
+        heap.register_class("Leaf", None),
+        heap.register_class(
+            "InlineList",
+            Some(SemanticMap {
+                kind: CollectionKind::List,
+                descriptor: AdtDescriptor::Inline,
+                top_level: true,
+            }),
+        ),
+    ];
+    let ctxs = [
+        heap.intern_context("List", &["A.m:1".to_owned()], 1),
+        heap.intern_context("List", &["B.m:2".to_owned()], 1),
+    ];
+    // Model state per object ever allocated, in allocation order.
+    let mut ids: Vec<ObjId> = Vec::new();
+    let mut alive: Vec<bool> = Vec::new();
+    let mut edges: Vec<[Option<usize>; 2]> = Vec::new();
+    let mut roots: Vec<u32> = Vec::new();
+    let mut cycles = Vec::new();
+    let last_gc: Step = (5, 0, 0);
+    for &(op, a, b) in steps.iter().chain([&last_gc]) {
+        let live: Vec<usize> = (0..ids.len()).filter(|&i| alive[i]).collect();
+        match op {
+            0 | 1 => {
+                let class = classes[b as usize % 3];
+                let ctx = (a % 3 < 2).then(|| ctxs[a as usize % 2]);
+                ids.push(heap.alloc_scalar(class, 2, 8 * (b % 4), ctx));
+                alive.push(true);
+                edges.push([None, None]);
+                roots.push(0);
+            }
+            2 if !live.is_empty() => {
+                let src = live[a as usize % live.len()];
+                let dst = (b % 5 != 0).then(|| live[b as usize % live.len()]);
+                let field = (a / 7 % 2) as usize;
+                heap.set_ref(ids[src], field, dst.map(|d| ids[d]));
+                edges[src][field] = dst;
+            }
+            // Roots are picked among every id ever handed out, stale ones
+            // included, and taken up to three times at once.
+            3 if !ids.is_empty() => {
+                let o = a as usize % ids.len();
+                for _ in 0..=b % 3 {
+                    heap.add_root(ids[o]);
+                    if alive[o] {
+                        roots[o] += 1;
+                    }
+                }
+            }
+            4 if !ids.is_empty() => {
+                let o = a as usize % ids.len();
+                heap.remove_root(ids[o]);
+                if alive[o] && roots[o] > 0 {
+                    roots[o] -= 1;
+                }
+            }
+            5 => {
+                let stats = heap.gc();
+                let mut reached = vec![false; ids.len()];
+                let mut stack: Vec<usize> = (0..ids.len()).filter(|&i| roots[i] > 0).collect();
+                while let Some(i) = stack.pop() {
+                    if !std::mem::replace(&mut reached[i], true) {
+                        stack.extend(edges[i].iter().flatten());
+                    }
+                }
+                for (i, &id) in ids.iter().enumerate() {
+                    assert_eq!(heap.is_live(id), reached[i], "object {i} after GC");
+                }
+                let live_objects = reached.iter().filter(|&&r| r).count();
+                assert_eq!(stats.live_objects, live_objects as u64);
+                alive = reached;
+                cycles.push(stats);
+            }
+            _ => {}
+        }
+        let rooted = roots.iter().filter(|&&n| n > 0).count();
+        assert_eq!(heap.root_count(), rooted, "distinct roots after {op}");
+    }
+    cycles
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+    #[test]
+    fn root_table_matches_model_multiset(
+        steps in prop::collection::vec((0u32..6, 0u32..64, 0u32..64), 0..160)
+    ) {
+        let seq = run_root_script(&steps, 1);
+        for threads in [2usize, 4] {
+            prop_assert_eq!(&seq, &run_root_script(&steps, threads));
+        }
+    }
 }
