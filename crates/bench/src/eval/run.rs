@@ -152,17 +152,10 @@ pub fn run_matrix(opts: &RunOptions) -> Result<RunOutcome, String> {
             .map_err(|e| format!("cannot append to {}: {e}", rows_path.display()))?,
     );
     let first_error: Mutex<Option<String>> = Mutex::new(None);
-    // relaxed: work-distribution claim counter; claim order is irrelevant
-    // (rows are keyed by cell id and the summary sorts), only uniqueness
-    // matters, which fetch_add gives at any ordering.
-    let next = AtomicUsize::new(0);
-    let workers = opts.jobs.clamp(1, to_run.len().max(1));
-    let worker_loop = || loop {
-        let i = next.fetch_add(1, Ordering::Relaxed);
-        if i >= to_run.len() || first_error.lock().unwrap().is_some() {
-            break;
+    run_claimed(to_run, opts.jobs, |cell| {
+        if first_error.lock().unwrap().is_some() {
+            return;
         }
-        let cell = to_run[i];
         let src = ruleset_src[&cell.ruleset].as_deref();
         match run_cell(cell, src, opts.spec.repeats) {
             Ok(row) => {
@@ -174,26 +167,16 @@ pub fn run_matrix(opts: &RunOptions) -> Result<RunOutcome, String> {
                 {
                     *first_error.lock().unwrap() =
                         Some(format!("cannot append row for {}", cell.id()));
-                    break;
+                    return;
                 }
                 drop(file);
                 computed_rows.lock().unwrap().push(row);
             }
             Err(e) => {
                 *first_error.lock().unwrap() = Some(format!("cell {}: {e}", cell.id()));
-                break;
             }
         }
-    };
-    if workers <= 1 {
-        worker_loop();
-    } else {
-        std::thread::scope(|s| {
-            for _ in 0..workers {
-                s.spawn(worker_loop);
-            }
-        });
-    }
+    });
     if let Some(e) = first_error.into_inner().unwrap() {
         return Err(e);
     }
@@ -237,6 +220,43 @@ pub fn run_matrix(opts: &RunOptions) -> Result<RunOutcome, String> {
         skipped: done_ids.len(),
         total: cells.len(),
     })
+}
+
+/// Runs `f` on every item over `workers` scoped threads (on the calling
+/// thread when `workers <= 1`) and returns the outputs in item order. Each
+/// worker claims the next unclaimed item, so list the longest items first.
+/// The bench crate's one worker pool: the matrix's cell runners and the
+/// paper runner both use it.
+pub(crate) fn run_claimed<T: Sync, R: Send>(
+    items: &[T],
+    workers: usize,
+    f: impl Fn(&T) -> R + Sync,
+) -> Vec<R> {
+    // relaxed: work-distribution claim counter; claim order is irrelevant
+    // (outputs are put back in item order), only uniqueness matters, which
+    // fetch_add gives at any ordering.
+    let next = AtomicUsize::new(0);
+    let worker = || {
+        let claim = || Some(next.fetch_add(1, Ordering::Relaxed)).filter(|&i| i < items.len());
+        std::iter::from_fn(claim)
+            .map(|i| (i, f(&items[i])))
+            .collect::<Vec<_>>()
+    };
+    let mut done = if workers <= 1 {
+        worker()
+    } else {
+        std::thread::scope(|s| {
+            let handles: Vec<_> = (0..workers.min(items.len()))
+                .map(|_| s.spawn(worker))
+                .collect();
+            handles
+                .into_iter()
+                .flat_map(|h| h.join().expect("worker panicked"))
+                .collect()
+        })
+    };
+    done.sort_by_key(|(i, _)| *i);
+    done.into_iter().map(|(_, r)| r).collect()
 }
 
 /// Runs one cell `repeats` times, keeping the wall-time minimum (the

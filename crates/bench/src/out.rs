@@ -1,10 +1,8 @@
 //! Shared output plumbing for the bench bins.
 //!
-//! Every figure/table binary historically printed to stdout only, with the
-//! `results/*.txt` archive maintained by hand-redirecting runs. [`Out`] is a
-//! tee: each [`outln!`] line still goes to stdout, and on drop the full text
-//! is saved under [`out_dir`] (`CHAMELEON_RESULTS_DIR`, default `results/`)
-//! so eval runs can redirect the whole fleet with one env var.
+//! [`Out`] is a tee: each [`outln!`] line goes to stdout, and on drop the
+//! full text is saved under [`out_dir`] (`CHAMELEON_RESULTS_DIR`, default
+//! `results/`) so one env var redirects the paper tables and the eval results.
 //!
 //! Machine-readable artifacts (`BENCH_*.json`) instead go through
 //! [`artifact_path`]: they land in the current directory when
@@ -87,9 +85,11 @@ pub fn host_meta_json() -> String {
 
 /// Buffered stdout tee for one bench binary. Lines written through
 /// [`outln!`] (or [`Out::line`]) print immediately; when the value drops,
-/// the accumulated text is saved to `out_dir()/<name>.txt`.
+/// the accumulated text is saved to `out_dir()/<name>.txt`. An
+/// `Out::default()` only accumulates: it neither prints nor saves.
+#[derive(Default)]
 pub struct Out {
-    name: &'static str,
+    name: Option<&'static str>,
     buf: RefCell<String>,
 }
 
@@ -98,24 +98,29 @@ impl Out {
     /// transcript).
     pub fn new(name: &'static str) -> Self {
         Out {
-            name,
-            buf: RefCell::new(String::new()),
+            name: Some(name),
+            buf: RefCell::default(),
         }
+    }
+
+    /// The text written so far.
+    pub fn text(&self) -> String {
+        self.buf.borrow().clone()
     }
 
     /// Prints one line to stdout and appends it to the saved transcript.
     pub fn line(&self, args: fmt::Arguments<'_>) {
-        let text = args.to_string();
-        println!("{text}");
-        let mut buf = self.buf.borrow_mut();
-        buf.push_str(&text);
-        buf.push('\n');
+        let mut text = args.to_string();
+        text.push('\n');
+        self.write(&text);
     }
 
     /// Prints a fragment without a trailing newline (already-formatted
     /// multi-line blocks pass through unchanged).
     pub fn write(&self, text: &str) {
-        print!("{text}");
+        if self.name.is_some() {
+            print!("{text}");
+        }
         self.buf.borrow_mut().push_str(text);
     }
 
@@ -127,7 +132,8 @@ impl Out {
 
 impl Drop for Out {
     fn drop(&mut self) {
-        let path = out_dir().join(format!("{}.txt", self.name));
+        let Some(name) = self.name else { return };
+        let path = out_dir().join(format!("{name}.txt"));
         if let Some(parent) = path.parent() {
             if !parent.as_os_str().is_empty() {
                 let _ = std::fs::create_dir_all(parent);
